@@ -6,16 +6,21 @@ occurrence counts), classification (document x category, multilabel), domain
 (feature x category validity) and weighting (document x feature real weights).
 
 Indexes are immutable after construction and therefore safe to share across
-threads.  Content is stored in both document-major and feature-major form so
-iteration is cheap in either direction, trading memory for access speed.
-All iteration orders are deterministic (ascending ID), which is what makes
-two builds from identical input serialize byte-identically.
+threads.  Content is stored document-major; the feature-major mirror behind
+:meth:`Index.feature_documents` and the numpy :class:`IndexArrays` view the
+learners read are each built on first use and published with one assignment,
+so a concurrent first use at worst builds the same value twice.  All
+iteration orders are deterministic (ascending ID), which is what makes two
+builds from identical input serialize byte-identically.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -95,37 +100,60 @@ class DomainDb:
 GLOBAL_DOMAIN = DomainDb(local=False)
 
 
+@dataclass(frozen=True)
+class IndexArrays:
+    """Read-only array view of an index, the form the learners read.
+
+    Only this module builds it, so a change of the index's storage changes
+    how the view is built and not its readers.  The content relation is a
+    document-major CSR: the nonzeros of document d are
+    ``indptr[d]:indptr[d + 1]``, in ascending feature id.  ``weights`` holds
+    the weighting relation aligned with the content entries (0.0 where it
+    has none) and ``rows`` the document id of every nonzero.  ``labels`` is
+    the D x C classification matrix.
+    """
+
+    indptr: np.ndarray    # int64, D + 1
+    rows: np.ndarray      # intp, nnz
+    features: np.ndarray  # int32, nnz
+    counts: np.ndarray    # int64, nnz
+    weights: np.ndarray   # float64, nnz
+    labels: np.ndarray    # bool, D x C
+
+
 class Index:
     """Immutable corpus index. Use :func:`build_index` to construct one."""
 
     def __init__(self, categories: ConceptDb, features: ConceptDb,
                  documents: ConceptDb, content: dict, classification: dict,
                  weights: dict, domain: DomainDb = GLOBAL_DOMAIN,
-                 _validate: bool = True):
+                 _normalized: bool = False):
         self._categories = categories
         self._features = features
         self._documents = documents
-        # content: dID -> {fID: count}, ascending keys both levels
-        self._content = {
-            d: dict(sorted(feats.items()))
-            for d, feats in sorted(content.items()) if feats
-        }
-        self._weights = {
-            d: dict(sorted(ws.items()))
-            for d, ws in sorted(weights.items()) if ws
-        }
-        self._doc_cats = {
-            d: tuple(sorted(cs)) for d, cs in sorted(classification.items()) if cs
-        }
         self._domain = domain
-        if _validate:
+        if _normalized:
+            # relations cut from a checked index by subset_index: already
+            # sorted, without empty rows, and sharing that index's row objects
+            self._content, self._weights = content, weights
+            self._doc_cats = classification
+        else:
+            # content: dID -> {fID: count}, ascending keys both levels
+            self._content = {
+                d: dict(sorted(feats.items()))
+                for d, feats in sorted(content.items()) if feats
+            }
+            self._weights = {
+                d: dict(sorted(ws.items()))
+                for d, ws in sorted(weights.items()) if ws
+            }
+            self._doc_cats = {
+                d: tuple(sorted(cs))
+                for d, cs in sorted(classification.items()) if cs
+            }
             self._check_references()
-        # feature-major mirror of the content relation
-        self._postings: dict = {}
-        for d, feats in self._content.items():
-            for f, n in feats.items():
-                self._postings.setdefault(f, {})[d] = n
-        self._postings = {f: self._postings[f] for f in sorted(self._postings)}
+        self._postings = None  # feature-major mirror, built on first use
+        self._arrays = None    # IndexArrays, built on first use
         self._cat_docs: dict = {c: set() for c in range(len(categories))}
         for d, cs in self._doc_cats.items():
             for c in cs:
@@ -209,9 +237,16 @@ class Index:
         return self._weights.get(d_id, {})
 
     def feature_documents(self, f_id: int) -> dict:
-        """Posting list for a feature: {dID: count}."""
+        """Posting list for a feature: {dID: count}, ascending dID."""
         self._features.name(f_id)
-        return self._postings.get(f_id, {})
+        postings = self._postings
+        if postings is None:
+            postings = {}
+            for d, feats in self._content.items():
+                for f, n in feats.items():
+                    postings.setdefault(f, {})[d] = n
+            self._postings = postings
+        return postings.get(f_id, {})
 
     def document_frequency(self, f_id: int) -> int:
         return len(self.feature_documents(f_id))
@@ -243,6 +278,48 @@ class Index:
         for d, cs in self._doc_cats.items():
             for c in cs:
                 yield d, c
+
+    def arrays(self) -> IndexArrays:
+        """The read-only numpy view of content, weights and labels."""
+        view = self._arrays
+        if view is None:
+            view = self._build_arrays()
+            self._arrays = view
+        return view
+
+    def _build_arrays(self) -> IndexArrays:
+        n_docs = self.num_documents
+        lengths = np.zeros(n_docs, dtype=np.int64)
+        lengths[list(self._content)] = [len(fs)
+                                        for fs in self._content.values()]
+        nnz = int(lengths.sum())
+        indptr = np.zeros(n_docs + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        content = self._content.values()
+        features = np.fromiter(chain.from_iterable(content), dtype=np.int32,
+                               count=nnz)
+        counts = np.fromiter(chain.from_iterable(fs.values() for fs in content),
+                             dtype=np.int64, count=nnz)
+        weights = np.fromiter(chain.from_iterable(self._aligned_weights()),
+                              dtype=np.float64, count=nnz)
+        labels = np.zeros((n_docs, self.num_categories), dtype=bool)
+        for d, cs in self._doc_cats.items():
+            labels[d, list(cs)] = True
+        rows = np.repeat(np.arange(n_docs, dtype=np.intp), lengths)
+        for array in (indptr, rows, features, counts, weights, labels):
+            array.flags.writeable = False
+        return IndexArrays(indptr=indptr, rows=rows, features=features,
+                           counts=counts, weights=weights, labels=labels)
+
+    def _aligned_weights(self):
+        """Per content row, its weights in the row's order (0.0 if none)."""
+        empty: dict = {}
+        for d, feats in self._content.items():
+            ws = self._weights.get(d, empty)
+            if ws.keys() == feats.keys():  # both sorted by feature id
+                yield ws.values()
+            else:
+                yield [ws.get(f, 0.0) for f in feats]
 
     # -- derived constructors ---------------------------------------------
 
@@ -361,44 +438,40 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
         if not keep_docs:
             raise ValidationError("empty document keep set")
         old_ids = sorted(keep_docs)
-        for d in old_ids:
-            index.documents.name(d)
-        remap = {old: new for new, old in enumerate(old_ids)}
         doc_db = ConceptDb([index.documents.name(d) for d in old_ids],
                            kind="document")
-        content = {remap[d]: dict(index.document_features(d)) for d in old_ids}
-        weights = {remap[d]: dict(index.document_weights(d)) for d in old_ids}
-        classification = {remap[d]: list(index.document_categories(d))
-                          for d in old_ids}
+
+        def kept_rows(relation):
+            return {new: relation[old] for new, old in enumerate(old_ids)
+                    if old in relation}
         return Index(index.categories, index.features, doc_db,
-                     content, classification, weights, index.domain)
+                     kept_rows(index._content), kept_rows(index._doc_cats),
+                     kept_rows(index._weights), index.domain,
+                     _normalized=True)
 
     if not keep_features:
         raise ValidationError("empty feature keep set")
     old_ids = sorted(keep_features)
-    for f in old_ids:
-        index.features.name(f)
-    remap = {old: new for new, old in enumerate(old_ids)}
     feat_db = ConceptDb([index.features.name(f) for f in old_ids], kind="feature")
-    content = {}
-    weights = {}
-    for d in range(index.num_documents):
-        row = {remap[f]: n for f, n in index.document_features(d).items()
-               if f in remap}
-        wrow = {remap[f]: w for f, w in index.document_weights(d).items()
-                if f in remap}
-        content[d] = row
-        weights[d] = wrow
-    classification = {d: list(index.document_categories(d))
-                      for d in range(index.num_documents)}
+    remap = {old: new for new, old in enumerate(old_ids)}
+
+    def kept_columns(relation):
+        rows = {}
+        for d, row in relation.items():
+            kept = {remap[f]: v for f, v in row.items() if f in remap}
+            if kept:
+                rows[d] = kept
+        return rows
+    content = kept_columns(index._content)
+    weights = kept_columns(index._weights)
     domain = index.domain
     if domain.local:
         domain = DomainDb(local=True, valid={
             c: frozenset(remap[f] for f in fs if f in remap)
             for c, fs in domain.valid.items()
         })
-    return Index(index.categories, feat_db, index.documents,
-                 content, classification, weights, domain)
+    return Index(index.categories, feat_db, index.documents, content,
+                 index._doc_cats, weights, domain, _normalized=True)
 
 
 # -- serialization ----------------------------------------------------------

@@ -5,10 +5,30 @@ classifiers are multilabel-capable.  Naive Bayes consumes raw occurrence
 counts, Rocchio and kNN consume the weighting relation, and the boosting
 learner consumes binary feature presence.
 
+Training and scoring read the index's array view (:meth:`Index.arrays`): a
+document-major CSR of the content and weighting relations plus a D x C label
+matrix.  With nnz the training nonzeros and n those of a scored document:
+
+  NB       one bincount over the (nonzero, label) pairs gives the class
+           counts of every category; a document score is a C x n product
+  Rocchio  one weighted bincount over the nonzeros per category; a document
+           score is a C x n product
+  kNN      training keeps the view; a query is one sparse product against
+           every training document, O(nnz), then a partition for the k
+           nearest
+  boost    a round is two weighted bincounts over the nonzeros (W+ and W- of
+           every feature) and an argmin of Z over the features
+
+Sums behind a score run left to right in ascending id, the order of a scalar
+loop, so interleaved zeros leave them unchanged and ties go to the lower id.
+Logarithms and exponentials that end up in a model are taken with
+:mod:`math`: numpy's vectorized ones can differ from them in the last bit.
+
 A trained classifier can score any index sharing the training feature space;
 feature ids beyond the trained vocabulary are ignored.  When the training
-index carries a local feature domain, features that are invalid for a
-category contribute nothing to that category's score.
+index carries a local feature domain, it becomes a C x F feature mask, and
+features that are invalid for a category contribute nothing to that
+category's score.
 """
 
 from __future__ import annotations
@@ -17,6 +37,8 @@ import math
 import os
 import pickle
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .index import Index
@@ -114,16 +136,20 @@ class ClassificationResult:
 
 
 class TrainedClassifier:
-    """Base classifier: per-category scoring plus threshold decisions."""
+    """Base classifier: per-category scoring plus threshold decisions.
+
+    A subclass overrides :meth:`score_document` or
+    :meth:`score_document_category`; each defaults to the other.
+    """
 
     kind = "?"
 
     def __init__(self, category_labels, thresholds, num_features,
-                 valid=None, strict=False, warnings=()):
+                 masks=None, strict=False, warnings=()):
         self.category_labels = tuple(category_labels)
         self.thresholds = tuple(thresholds)
         self.num_features = num_features       # trained vocabulary size
-        self.valid = valid                     # cID -> frozenset, or None
+        self.masks = masks                     # C x F valid features, or None
         self.strict = strict                   # decision uses > instead of >=
         self.warnings = list(warnings)
         self.hyperparameters = {}              # filled in by train()
@@ -132,37 +158,48 @@ class TrainedClassifier:
     def num_categories(self) -> int:
         return len(self.category_labels)
 
-    def _restrict(self, vector: dict, c_id: int) -> dict:
-        known = {f: v for f, v in vector.items() if f < self.num_features}
-        if self.valid is None:
-            return known
-        valid = self.valid.get(c_id, frozenset())
-        return {f: v for f, v in known.items() if f in valid}
-
     def decide(self, c_id: int, score: float) -> bool:
         if self.strict:
             return score > self.thresholds[c_id]
         return score >= self.thresholds[c_id]
 
     def score_document_category(self, index: Index, d_id: int, c_id: int) -> float:
-        raise NotImplementedError
+        return self.score_document(index, d_id)[c_id]
 
     def score_document(self, index: Index, d_id: int) -> list:
         return [self.score_document_category(index, d_id, c)
                 for c in range(self.num_categories)]
 
+    def _row(self, index: Index, d_id: int):
+        """The index's view and the slice of a document's nonzeros whose
+        features lie in the trained vocabulary."""
+        index.documents.name(d_id)
+        view = index.arrays()
+        lo, hi = view.indptr[d_id], view.indptr[d_id + 1]
+        hi = lo + np.searchsorted(view.features[lo:hi], self.num_features)
+        return view, slice(lo, hi)
 
-def _cosine(u: dict, u_norm: float, v: dict, v_norm: float) -> float:
-    if u_norm == 0.0 or v_norm == 0.0:
-        return 0.0
-    if len(v) < len(u):
-        u, v = v, u
-    dot = sum(val * v.get(f, 0.0) for f, val in u.items())
-    return dot / (u_norm * v_norm)
+
+def _seq_sum(values: np.ndarray) -> np.ndarray:
+    """Left-to-right sums along the last axis, the order of a scalar loop."""
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1])
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
-def _norm(vector: dict) -> float:
-    return math.sqrt(sum(v * v for v in vector.values()))
+def _feature_masks(index: Index):
+    """C x F validity of a local domain; None for a global one."""
+    if not index.domain.local:
+        return None
+    masks = np.zeros((index.num_categories, index.num_features), dtype=bool)
+    for c in range(index.num_categories):
+        valid = index.domain.valid_features(c)
+        masks[c, np.fromiter(valid, dtype=np.intp, count=len(valid))] = True
+    return masks
+
+
+def _no_positives(label: str) -> str:
+    return f"category {label!r} has no positive training documents"
 
 
 # -- Naive Bayes ---------------------------------------------------------------
@@ -171,69 +208,78 @@ def _norm(vector: dict) -> float:
 class NaiveBayesClassifier(TrainedClassifier):
     kind = NAIVE_BAYES
 
-    def __init__(self, category_labels, num_features, models, valid=None,
-                 warnings=()):
+    def __init__(self, category_labels, num_features, log_odds, deltas,
+                 fixed, masks=None, warnings=()):
         super().__init__(category_labels, [0.0] * len(category_labels),
-                         num_features, valid=valid, warnings=warnings)
-        # models: per category, None (untrainable) or
-        # (log_odds_prior, log_num_pos, log_den_pos, log_num_neg, log_den_neg)
-        self.models = models
+                         num_features, masks=masks, warnings=warnings)
+        self.log_odds = log_odds  # per category prior log-odds
+        self.deltas = deltas      # C x F log-likelihood ratio per occurrence
+        self.fixed = fixed        # per category None, or the constant score
 
-    def score_document_category(self, index, d_id, c_id):
-        model = self.models[c_id]
-        if model is None:
-            return MIN_SCORE
-        if model == "all-positive":
-            return -MIN_SCORE
-        log_odds, num_pos, den_pos, num_neg, den_neg = model
-        score = log_odds
-        counts = self._restrict(index.document_features(d_id), c_id)
-        for f, tf in counts.items():
-            theta_pos = num_pos.get(f, 0.0) - den_pos
-            theta_neg = num_neg.get(f, 0.0) - den_neg
-            score += tf * (theta_pos - theta_neg)
-        return score
+    def score_document(self, index, d_id):
+        view, nz = self._row(index, d_id)
+        terms = view.counts[nz] * self.deltas[:, view.features[nz]]
+        scores = _seq_sum(np.column_stack([self.log_odds, terms])).tolist()
+        return [s if fixed is None else fixed
+                for s, fixed in zip(scores, self.fixed)]
+
+
+def _log_counts(counts: np.ndarray) -> np.ndarray:
+    """math.log(n + 1.0) of every class count, 0.0 where it is 0."""
+    out = np.zeros_like(counts)
+    seen = counts > 0
+    values, inverse = np.unique(counts[seen], return_inverse=True)
+    out[seen] = np.array([math.log(n + 1.0) for n in values.tolist()],
+                         dtype=np.float64)[inverse]
+    return out
 
 
 def _train_naive_bayes(learner, index: Index):
     labels = index.categories.names
-    valid = _valid_map(index)
-    models = []
+    masks = _feature_masks(index)
+    view = index.arrays()
+    n_docs, n_feats = index.num_documents, index.num_features
+    n_cats = index.num_categories
+    # the class counts of every category from one pass over the
+    # (nonzero, label) pairs; integer sums, so exact in any order
+    nz, cats = np.nonzero(view.labels[view.rows])
+    pos = np.bincount(cats * n_feats + view.features[nz],
+                      weights=view.counts[nz],
+                      minlength=n_cats * n_feats).reshape(n_cats, n_feats)
+    neg = np.bincount(view.features, weights=view.counts,
+                      minlength=n_feats) - pos
+    if masks is None:
+        vocab = np.full(n_cats, n_feats)
+    else:
+        pos, neg = pos * masks, neg * masks
+        vocab = masks.sum(axis=1)
+    pos_totals, neg_totals = pos.sum(axis=1), neg.sum(axis=1)
+    log_odds = np.zeros(n_cats)
+    den_pos = np.zeros(n_cats)
+    den_neg = np.zeros(n_cats)
+    fixed = []
     warnings = []
-    n_docs = index.num_documents
-    for c in range(index.num_categories):
-        pos_docs = index.category_documents(c)
-        if not pos_docs:
-            warnings.append(f"category {labels[c]!r} has no positive "
-                            "training documents")
-            models.append(None)
+    for c, n_pos in enumerate(view.labels.sum(axis=0).tolist()):
+        if not n_pos:
+            warnings.append(_no_positives(labels[c]))
+            fixed.append(MIN_SCORE)
             continue
-        if len(pos_docs) == n_docs:
+        if n_pos == n_docs:
             warnings.append(f"category {labels[c]!r} has no negative "
                             "training documents")
-            models.append("all-positive")
+            fixed.append(-MIN_SCORE)
             continue
-        valid_set = valid.get(c) if valid else None
-        vocab = len(valid_set) if valid_set is not None else index.num_features
-        pos_counts: dict = {}
-        neg_counts: dict = {}
-        for d in range(n_docs):
-            target = pos_counts if d in pos_docs else neg_counts
-            for f, tf in index.document_features(d).items():
-                if valid_set is not None and f not in valid_set:
-                    continue
-                target[f] = target.get(f, 0) + tf
-        pos_total = sum(pos_counts.values())
-        neg_total = sum(neg_counts.values())
-        log_odds = math.log(len(pos_docs) / n_docs) - \
-            math.log((n_docs - len(pos_docs)) / n_docs)
-        num_pos = {f: math.log(n + 1.0) for f, n in pos_counts.items()}
-        num_neg = {f: math.log(n + 1.0) for f, n in neg_counts.items()}
-        models.append((log_odds,
-                       num_pos, math.log(pos_total + vocab),
-                       num_neg, math.log(neg_total + vocab)))
-    return NaiveBayesClassifier(labels, index.num_features, models,
-                                valid=valid, warnings=warnings)
+        fixed.append(None)
+        log_odds[c] = math.log(n_pos / n_docs) - \
+            math.log((n_docs - n_pos) / n_docs)
+        den_pos[c] = math.log(int(pos_totals[c]) + int(vocab[c]))
+        den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
+    deltas = ((_log_counts(pos) - den_pos[:, None])
+              - (_log_counts(neg) - den_neg[:, None]))
+    if masks is not None:
+        deltas[~masks] = 0.0
+    return NaiveBayesClassifier(labels, n_feats, log_odds, deltas, fixed,
+                                masks=masks, warnings=warnings)
 
 
 # -- Rocchio ---------------------------------------------------------------------
@@ -242,56 +288,73 @@ def _train_naive_bayes(learner, index: Index):
 class RocchioClassifier(TrainedClassifier):
     kind = ROCCHIO
 
-    def __init__(self, category_labels, num_features, profiles, norms,
-                 threshold, valid=None, warnings=()):
+    def __init__(self, category_labels, num_features, profile_matrix, norms,
+                 trained, threshold, masks=None, warnings=()):
         super().__init__(category_labels, [threshold] * len(category_labels),
-                         num_features, valid=valid, strict=True,
+                         num_features, masks=masks, strict=True,
                          warnings=warnings)
-        self.profiles = profiles  # per category: dict or None
+        self.profile_matrix = profile_matrix  # C x F, zero where clipped
         self.norms = norms
+        self.trained = trained                # per category bool
 
-    def score_document_category(self, index, d_id, c_id):
-        profile = self.profiles[c_id]
-        if profile is None:
-            return MIN_SCORE
-        vector = self._restrict(index.document_weights(d_id), c_id)
-        return _cosine(profile, self.norms[c_id], vector, _norm(vector))
+    @property
+    def profiles(self) -> list:
+        """Per category {fID: weight} of the profile, or None if untrained."""
+        return [{f: float(row[f]) for f in np.flatnonzero(row).tolist()}
+                if trained else None
+                for row, trained in zip(self.profile_matrix, self.trained)]
+
+    def score_document(self, index, d_id):
+        view, nz = self._row(index, d_id)
+        ids, w = view.features[nz], view.weights[nz]
+        dots = _seq_sum(self.profile_matrix[:, ids] * w).tolist()
+        if self.masks is None:
+            v_norms = [math.sqrt(_seq_sum(w * w))] * self.num_categories
+        else:
+            v_norms = np.sqrt(_seq_sum(self.masks[:, ids] * (w * w))).tolist()
+        scores = []
+        for c, trained in enumerate(self.trained):
+            if not trained:
+                scores.append(MIN_SCORE)
+            elif self.norms[c] == 0.0 or v_norms[c] == 0.0:
+                scores.append(0.0)
+            else:
+                scores.append(dots[c] / (self.norms[c] * v_norms[c]))
+        return scores
 
 
 def _train_rocchio(learner, index: Index):
     labels = index.categories.names
-    valid = _valid_map(index)
-    profiles = []
-    norms = []
-    warnings = []
+    masks = _feature_masks(index)
+    view = index.arrays()
     n_docs = index.num_documents
-    doc_vectors = [index.document_weights(d) for d in range(n_docs)]
+    profiles = np.zeros((index.num_categories, index.num_features))
+    norms = []
+    trained = []
+    warnings = []
     for c in range(index.num_categories):
-        pos_docs = index.category_documents(c)
-        if not pos_docs:
-            warnings.append(f"category {labels[c]!r} has no positive "
-                            "training documents")
-            profiles.append(None)
+        positive = view.labels[:, c]
+        n_pos = int(positive.sum())
+        trained.append(n_pos > 0)
+        if not n_pos:
+            warnings.append(_no_positives(labels[c]))
             norms.append(0.0)
             continue
-        valid_set = valid.get(c) if valid else None
-        profile: dict = {}
-        n_neg = n_docs - len(pos_docs)
-        pos_w = learner.beta / len(pos_docs)
+        n_neg = n_docs - n_pos
+        pos_w = learner.beta / n_pos
         neg_w = learner.gamma / n_neg if n_neg else 0.0
-        for d in range(n_docs):
-            scale = pos_w if d in pos_docs else -neg_w
-            if scale == 0.0:
-                continue
-            for f, w in doc_vectors[d].items():
-                if valid_set is not None and f not in valid_set:
-                    continue
-                profile[f] = profile.get(f, 0.0) + scale * w
-        profile = {f: w for f, w in profile.items() if w > 0.0}
-        profiles.append(profile)
-        norms.append(_norm(profile))
+        scale = np.where(positive, pos_w, -neg_w)
+        profile = np.bincount(view.features,
+                              weights=scale[view.rows] * view.weights,
+                              minlength=index.num_features)
+        if masks is not None:
+            profile[~masks[c]] = 0.0
+        profile[~(profile > 0.0)] = 0.0
+        profiles[c] = profile
+        norms.append(math.sqrt(_seq_sum(profile * profile)))
     return RocchioClassifier(labels, index.num_features, profiles, norms,
-                             learner.threshold, valid=valid, warnings=warnings)
+                             trained, learner.threshold, masks=masks,
+                             warnings=warnings)
 
 
 # -- k nearest neighbors ----------------------------------------------------------
@@ -300,70 +363,70 @@ def _train_rocchio(learner, index: Index):
 class KnnClassifier(TrainedClassifier):
     kind = KNN
 
-    def __init__(self, category_labels, num_features, vectors, vector_norms,
-                 memberships, k, threshold, valid=None, warnings=()):
+    def __init__(self, category_labels, num_features, view, norms, k,
+                 threshold, masks=None, warnings=()):
         super().__init__(category_labels, [threshold] * len(category_labels),
-                         num_features, valid=valid, warnings=warnings)
-        self.vectors = vectors            # training doc id -> weight dict
-        self.vector_norms = vector_norms
-        self.memberships = memberships    # cID -> frozenset of training dIDs
+                         num_features, masks=masks, warnings=warnings)
+        self.view = view    # the training index's IndexArrays
+        self.norms = norms  # per training doc; C x D_train with masks
         self.k = k
 
-    def _neighbors(self, vector: dict, restrict=None) -> list:
-        """Top-k training docs by cosine similarity; ties broken by id."""
-        if restrict is not None:
-            vector = {f: v for f, v in vector.items() if f in restrict}
-        v_norm = _norm(vector)
-        sims = []
-        for d, train_vec in enumerate(self.vectors):
-            if restrict is not None:
-                train_vec = {f: v for f, v in train_vec.items() if f in restrict}
-                t_norm = _norm(train_vec)
-            else:
-                t_norm = self.vector_norms[d]
-            sims.append((_cosine(vector, v_norm, train_vec, t_norm), d))
-        sims.sort(key=lambda sd: (-sd[0], sd[1]))
-        return sims[:min(self.k, len(sims))]
-
-    def score_document_category(self, index, d_id, c_id):
-        return self._scores_for_doc(index, d_id)[c_id]
-
-    def _scores_for_doc(self, index, d_id):
-        vector = {f: v for f, v in index.document_weights(d_id).items()
-                  if f < self.num_features}
-        if self.valid is None:
-            top = self._neighbors(vector)
-            return [self._vote(top, c) for c in range(self.num_categories)]
-        return [self._vote(self._neighbors(vector, self.valid.get(c, frozenset())), c)
+    def score_document(self, index, d_id):
+        view, nz = self._row(index, d_id)
+        ids, w = view.features[nz], view.weights[nz]
+        if self.masks is None:
+            return self._votes(*self._neighbors(ids, w, self.norms))
+        return [self._votes(*self._neighbors(ids, w * self.masks[c, ids],
+                                             self.norms[c]))[c]
                 for c in range(self.num_categories)]
 
-    def _vote(self, top, c_id):
-        denom = sum(sim for sim, _ in top)
-        if denom == 0.0:
-            return 0.0
-        members = self.memberships[c_id]
-        return sum(sim for sim, d in top if d in members) / denom
+    def _neighbors(self, ids, w, norms):
+        """Top-k training docs by cosine similarity, ties to the lower id:
+        (doc ids, similarities) in that order."""
+        train = self.view
+        query = np.zeros(self.num_features)
+        query[ids] = w
+        dots = np.bincount(train.rows,
+                           weights=train.weights * query[train.features],
+                           minlength=len(norms))
+        denominators = norms * math.sqrt(_seq_sum(w * w))
+        sims = np.zeros(len(norms))
+        np.divide(dots, denominators, out=sims, where=denominators != 0.0)
+        k = min(self.k, len(sims))
+        if k < len(sims):
+            kth = np.partition(sims, len(sims) - k)[len(sims) - k]
+            candidates = np.flatnonzero(sims >= kth)
+        else:
+            candidates = np.arange(len(sims))
+        top = candidates[np.argsort(-sims[candidates], kind="stable")[:k]]
+        return top, sims[top]
 
-    def score_document(self, index, d_id):
-        return self._scores_for_doc(index, d_id)
+    def _votes(self, top, sims):
+        denom = _seq_sum(sims)
+        if denom == 0.0:
+            return [0.0] * self.num_categories
+        members = np.where(self.view.labels[top], sims[:, None], 0.0)
+        return (_seq_sum(members.T) / denom).tolist()
 
 
 def _train_knn(learner, index: Index):
     labels = index.categories.names
-    valid = _valid_map(index)
-    warnings = []
-    vectors = [dict(index.document_weights(d))
-               for d in range(index.num_documents)]
-    norms = [_norm(v) for v in vectors]
-    memberships = {c: index.category_documents(c)
-                   for c in range(index.num_categories)}
-    for c in range(index.num_categories):
-        if not memberships[c]:
-            warnings.append(f"category {labels[c]!r} has no positive "
-                            "training documents")
-    return KnnClassifier(labels, index.num_features, vectors, norms,
-                         memberships, learner.k, learner.threshold,
-                         valid=valid, warnings=warnings)
+    masks = _feature_masks(index)
+    view = index.arrays()
+    n_docs = index.num_documents
+    squares = view.weights * view.weights
+    if masks is None:
+        norms = np.sqrt(np.bincount(view.rows, weights=squares,
+                                    minlength=n_docs))
+    else:
+        norms = np.sqrt(np.stack([
+            np.bincount(view.rows, weights=squares * mask[view.features],
+                        minlength=n_docs)
+            for mask in masks]))
+    warnings = [_no_positives(labels[c])
+                for c in np.flatnonzero(~view.labels.any(axis=0)).tolist()]
+    return KnnClassifier(labels, index.num_features, view, norms, learner.k,
+                         learner.threshold, masks=masks, warnings=warnings)
 
 
 # -- AdaBoost.MH with real-valued stumps -------------------------------------------
@@ -373,87 +436,112 @@ class BoostClassifier(TrainedClassifier):
     kind = ADABOOST_MH
 
     def __init__(self, category_labels, num_features, rounds, z_values,
-                 iterations, epsilon, valid=None, warnings=()):
+                 iterations, epsilon, masks=None, warnings=()):
         super().__init__(category_labels, [0.0] * len(category_labels),
-                         num_features, valid=valid, warnings=warnings)
+                         num_features, masks=masks, warnings=warnings)
         self.rounds = rounds      # per category: list of (fID, c0, c1) or None
         self.z_values = z_values  # per category: per-round normalizer Z_t
         self.iterations = iterations
         self.epsilon = epsilon
+        # a stump's feature is valid for its category, so scoring needs no mask
+        self._trained = [c for c, r in enumerate(rounds) if r is not None]
+        stumps = np.array([rounds[c] for c in self._trained],
+                          dtype=np.float64).reshape(-1, iterations, 3)
+        self._stump_features = stumps[:, :, 0].astype(np.intp)
+        self._c0 = stumps[:, :, 1]
+        self._c1 = stumps[:, :, 2]
 
-    def score_document_category(self, index, d_id, c_id):
-        rounds = self.rounds[c_id]
-        if rounds is None:
-            return MIN_SCORE
-        present = self._restrict(index.document_features(d_id), c_id)
-        return sum(c1 if f in present else c0 for f, c0, c1 in rounds)
+    def score_document(self, index, d_id):
+        view, nz = self._row(index, d_id)
+        present = np.zeros(self.num_features, dtype=bool)
+        present[view.features[nz]] = True
+        sums = _seq_sum(np.where(present[self._stump_features],
+                                 self._c1, self._c0))
+        scores = [MIN_SCORE] * self.num_categories
+        for c, score in zip(self._trained, sums.tolist()):
+            scores[c] = score
+        return scores
+
+
+def _stump(w0p, w0m, w1p, w1m, epsilon, log=math.log, exp=math.exp):
+    """(Z, c0, c1) of the real-valued stump on a feature, or on every
+    feature at once with numpy's log and exp."""
+    c0 = 0.5 * log((w0p + epsilon) / (w0m + epsilon))
+    c1 = 0.5 * log((w1p + epsilon) / (w1m + epsilon))
+    z = w0p * exp(-c0) + w0m * exp(c0) + w1p * exp(-c1) + w1m * exp(c1)
+    return z, c0, c1
+
+
+def _best_stump(w0p, w0m, w1p, w1m, epsilon, candidates):
+    """(Z, fID, c0, c1) of the candidate feature minimizing Z, lowest id
+    first among equals.  Z is computed for every feature with numpy; the
+    few within rounding of the minimum are then compared by the exact
+    scalar Z, so the choice equals a scalar loop's."""
+    z = _stump(w0p, w0m, w1p, w1m, epsilon, np.log, np.exp)[0][candidates]
+    best = None
+    for f in candidates[z <= z.min() * (1.0 + 1e-9)].tolist():
+        z_f, c0, c1 = _stump(float(w0p[f]), float(w0m[f]),
+                             float(w1p[f]), float(w1m[f]), epsilon)
+        if best is None or z_f < best[0]:
+            best = (z_f, f, c0, c1)
+    return best
 
 
 def _train_boost(learner, index: Index):
     labels = index.categories.names
-    valid = _valid_map(index)
-    n_docs = index.num_documents
+    masks = _feature_masks(index)
+    view = index.arrays()
+    n_docs, n_feats = index.num_documents, index.num_features
+    features = view.features.astype(np.intp)
     epsilon = 1.0 / n_docs
     all_rounds = []
     all_z = []
     warnings = []
     for c in range(index.num_categories):
-        pos_docs = index.category_documents(c)
-        if not pos_docs:
-            warnings.append(f"category {labels[c]!r} has no positive "
-                            "training documents")
+        positive = view.labels[:, c]
+        if not positive.any():
+            warnings.append(_no_positives(labels[c]))
             all_rounds.append(None)
             all_z.append([])
             continue
-        valid_set = valid.get(c) if valid else None
-        candidates = (sorted(valid_set) if valid_set is not None
-                      else range(index.num_features))
-        weights = [1.0 / n_docs] * n_docs
-        positive = [d in pos_docs for d in range(n_docs)]
+        candidates = (np.arange(n_feats) if masks is None
+                      else np.flatnonzero(masks[c]))
+        if not len(candidates):
+            raise ValidationError(
+                f"category {labels[c]!r} has no features to boost on")
+        positive_nz = positive[view.rows]
+        weights = np.full(n_docs, 1.0 / n_docs)
         rounds = []
         z_values = []
         for _ in range(learner.iterations):
-            w_pos_total = sum(w for d, w in enumerate(weights) if positive[d])
-            w_neg_total = sum(w for d, w in enumerate(weights) if not positive[d])
-            best = None
-            for f in candidates:
-                w1p = w1m = 0.0
-                for d in index.feature_documents(f):
-                    if positive[d]:
-                        w1p += weights[d]
-                    else:
-                        w1m += weights[d]
-                w0p = w_pos_total - w1p
-                w0m = w_neg_total - w1m
-                c0 = 0.5 * math.log((w0p + epsilon) / (w0m + epsilon))
-                c1 = 0.5 * math.log((w1p + epsilon) / (w1m + epsilon))
-                z = (w0p * math.exp(-c0) + w0m * math.exp(c0)
-                     + w1p * math.exp(-c1) + w1m * math.exp(c1))
-                if best is None or z < best[0]:
-                    best = (z, f, c0, c1)
-            z, f, c0, c1 = best
+            w_pos_total = float(_seq_sum(weights[positive]))
+            w_neg_total = float(_seq_sum(weights[~positive]))
+            # W+ and W- of every feature; bincount adds in CSR order, so
+            # each feature's sum runs in ascending document id
+            w_nz = weights[view.rows]
+            w1p = np.bincount(features, np.where(positive_nz, w_nz, 0.0),
+                              minlength=n_feats)
+            w1m = np.bincount(features, np.where(positive_nz, 0.0, w_nz),
+                              minlength=n_feats)
+            z, f, c0, c1 = _best_stump(w_pos_total - w1p, w_neg_total - w1m,
+                                       w1p, w1m, epsilon, candidates)
             rounds.append((f, c0, c1))
             z_values.append(z)
-            posting = index.feature_documents(f)
-            for d in range(n_docs):
-                h = c1 if d in posting else c0
-                y = 1.0 if positive[d] else -1.0
-                weights[d] = weights[d] * math.exp(-y * h) / z
+            present = np.zeros(n_docs, dtype=bool)
+            present[view.rows[features == f]] = True
+            factor = np.where(
+                present,
+                np.where(positive, math.exp(-c1), math.exp(c1)),
+                np.where(positive, math.exp(-c0), math.exp(c0)))
+            weights = weights * factor / z
         all_rounds.append(rounds)
         all_z.append(z_values)
-    return BoostClassifier(labels, index.num_features, all_rounds, all_z,
+    return BoostClassifier(labels, n_feats, all_rounds, all_z,
                            iterations=learner.iterations, epsilon=epsilon,
-                           valid=valid, warnings=warnings)
+                           masks=masks, warnings=warnings)
 
 
 # -- shared operations ---------------------------------------------------------------
-
-
-def _valid_map(index: Index):
-    if not index.domain.local:
-        return None
-    return {c: index.domain.valid_features(c)
-            for c in range(index.num_categories)}
 
 
 _TRAINERS = {

@@ -129,22 +129,6 @@ def save_matrix(matrix: np.ndarray, path) -> None:
             fh.write("\t".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_model(path) -> ProjectionModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = dict(line.split("\t", 1) for line in lines[:5])
-    kind = header["kind"]
-    dim, nonzeros, seed, count = (int(header[k]) for k in
-                                  ("dim", "nonzeros", "seed", "features"))
-    vectors: dict = {}
-    for line in lines[5:]:
-        f_s, pos_s, val_s = line.split("\t")
-        vectors.setdefault(int(f_s), []).append((int(pos_s), float(val_s)))
-    index_vectors = tuple(tuple(vectors.get(f, ())) for f in range(count))
-    return ProjectionModel(kind=kind, dim=dim, nonzeros=nonzeros, seed=seed,
-                           index_vectors=index_vectors)
-
-
 def save_projection(model: ProjectionModel, matrix: np.ndarray, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     save_model(model, os.path.join(directory, "model.tsv"))

@@ -211,3 +211,38 @@ class TestSerialization:
         (tmp_path / "broken" / "content.tsv").unlink()
         with pytest.raises(ValidationError, match="missing index file"):
             deserialize_index(tmp_path / "broken")
+
+
+class TestArrayView:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_view_matches_relations(self, seed):
+        index = random_corpus(seed)
+        # a weighting relation with gaps, which the view fills with 0.0
+        index = index.with_weighting({
+            d: {f: w for f, w in index.document_weights(d).items()
+                if (d + f) % 3}
+            for d in range(index.num_documents)})
+        view = index.arrays()
+        for d in range(index.num_documents):
+            row = slice(view.indptr[d], view.indptr[d + 1])
+            counts = index.document_features(d)
+            weights = index.document_weights(d)
+            assert view.features[row].tolist() == list(counts)
+            assert view.counts[row].tolist() == list(counts.values())
+            assert view.weights[row].tolist() == \
+                [weights.get(f, 0.0) for f in counts]
+            assert set(view.rows[row].tolist()) <= {d}
+            assert view.labels[d].nonzero()[0].tolist() == \
+                list(index.document_categories(d))
+        assert view.indptr[-1] == len(view.features) == len(view.rows)
+        assert index.arrays() is view
+        assert not view.weights.flags.writeable
+
+    def test_document_subset_view(self, tiny_index):
+        sub = subset_index(tiny_index, keep_docs={0, 2})
+        view = sub.arrays()
+        for new, old in enumerate((0, 2)):
+            row = slice(view.indptr[new], view.indptr[new + 1])
+            assert view.features[row].tolist() == \
+                list(tiny_index.document_features(old))

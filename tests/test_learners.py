@@ -8,10 +8,13 @@ from jatecs import (AdaBoostMHLearner, KnnLearner, NaiveBayesLearner,
                     RocchioLearner, ValidationError, classify_category,
                     classify_document, make_learner, one_vs_all_predict,
                     train)
+from jatecs.index import DomainDb, subset_index
 from jatecs.learners import MIN_SCORE, TrainedClassifier
+from jatecs.rng import SplitMix64
+from jatecs.weighting import tfidf_normalized
 
-from conftest import (aligned_test_index, make_corpus, separable_corpus,
-                      separable_docs)
+from conftest import (aligned_test_index, make_corpus, random_corpus,
+                      separable_corpus, separable_docs)
 
 
 class TestNaiveBayes:
@@ -277,6 +280,39 @@ class TestLocalDomain:
         assert classify_document(classifier, test_b, 1).scores[0] == 0.0
         assert classify_document(classifier, test_b, 0).scores[0] == \
             pytest.approx(1.0)
+
+    def test_boost_rejects_category_without_valid_features(self):
+        base = make_corpus([("d0", {"a": 1}, ["c0"]),
+                            ("d1", {"b": 1}, [])], ["c0"])
+        local = base.with_domain(DomainDb(local=True, valid={}))
+        with pytest.raises(ValidationError):
+            train(AdaBoostMHLearner(iterations=1), local)
+
+
+class TestLocalDomainMatchesSubset:
+    """A local-domain classifier scores category c exactly as the same
+    learner trained on the index cut down to c's valid features."""
+
+    @pytest.mark.parametrize("learner", [
+        NaiveBayesLearner(), RocchioLearner(), KnnLearner(k=5),
+        AdaBoostMHLearner(iterations=8)], ids=lambda ln: ln.kind)
+    @pytest.mark.parametrize("seed", [3, 12, 21])
+    def test_each_category_matches_its_subset(self, learner, seed):
+        index = tfidf_normalized(random_corpus(seed, max_docs=60))
+        rng = SplitMix64(seed)
+        valid = {}
+        for c in range(index.num_categories):
+            kept = {f for f in range(index.num_features)
+                    if rng.next_below(3) != 0}
+            valid[c] = frozenset(kept or {0})
+        local = index.with_domain(DomainDb(local=True, valid=valid))
+        classifier = train(learner, local)
+        for c in range(index.num_categories):
+            sub = subset_index(local, keep_features=valid[c])
+            sub_classifier = train(learner, sub)
+            for d in range(index.num_documents):
+                assert classifier.score_document(local, d)[c] == \
+                    sub_classifier.score_document(sub, d)[c], (c, d)
 
 
 class TestFactory:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jatecs import (LogisticScaling, NaiveBayesLearner, ValidationError,
                     evaluate_quantification, learn_quantifiers, quantify,
@@ -10,7 +12,7 @@ from jatecs import (LogisticScaling, NaiveBayesLearner, ValidationError,
 from jatecs.learners import TrainedClassifier
 from jatecs.quantification import (QUANTIFIERS, PrevalenceEstimate,
                                    QuantifierPool, RatesEstimate, _corrected,
-                                   smoothed_kld, true_prevalences)
+                                   _rate_curve, smoothed_kld, true_prevalences)
 
 from conftest import make_corpus, separable_corpus
 
@@ -186,6 +188,58 @@ class TestLearnQuantifiers:
         index = make_corpus(specs, ["common", "rare"])
         pool = learn_quantifiers(NaiveBayesLearner(), index, folds=3)
         assert any("simple folds" in w for w in pool.warnings)
+
+
+def _rate_curve_reference(scores, labels):
+    """The O(D^2) definition: rates of `score >= thr` at every distinct
+    score, descending."""
+    n_pos = sum(1 for y in labels if y)
+    n_neg = len(labels) - n_pos
+    curve = []
+    for thr in sorted(set(scores), reverse=True):
+        tp = sum(1 for s, y in zip(scores, labels) if y and s >= thr)
+        fp = sum(1 for s, y in zip(scores, labels) if not y and s >= thr)
+        curve.append((thr,
+                      tp / n_pos if n_pos else 0.0,
+                      fp / n_neg if n_neg else 0.0))
+    return tuple(curve)
+
+
+def _signed(curve):
+    """The curve with each threshold's sign bit, so -0.0 differs from 0.0."""
+    return [(math.copysign(1.0, thr), thr, tpr, fpr)
+            for thr, tpr, fpr in curve]
+
+
+# a few values drawn often enough to tie, both zeros among them
+_TIED_SCORES = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 1e300])
+_SCORES = st.one_of(_TIED_SCORES,
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestRateCurve:
+    @given(st.lists(st.tuples(_SCORES, st.booleans()), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    @example([(-0.0, True), (0.0, False), (0.0, True)])
+    @example([(0.0, False), (-0.0, True), (1.0, True)])
+    def test_matches_quadratic_definition(self, pairs):
+        scores = [s for s, _ in pairs]
+        labels = [y for _, y in pairs]
+        assert _signed(_rate_curve(scores, labels)) == \
+            _signed(_rate_curve_reference(scores, labels))
+
+    @given(st.lists(_TIED_SCORES, min_size=1, max_size=40), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_single_class_labels(self, scores, label):
+        labels = [label] * len(scores)
+        curve = _rate_curve(scores, labels)
+        assert _signed(curve) == _signed(_rate_curve_reference(scores, labels))
+        # the absent class's rate is reported as 0 at every threshold
+        absent = 2 if label else 1
+        assert all(point[absent] == 0.0 for point in curve)
+
+    def test_empty(self):
+        assert _rate_curve([], []) == ()
 
 
 class TestReport:
