@@ -1,10 +1,14 @@
 """The `jatecs` command line tool.
 
-Subcommands operate on serialized index directories and model directories so
-every pipeline stage is independently runnable and testable.  Exit codes:
-0 success, 1 usage/config error, 2 data/parse error, 3 internal invariant
-violation.  Given identical inputs, flags and seeds, every subcommand writes
-byte-identical outputs.
+Each stage is a plain function over an in-memory Index (select_features,
+weight_index, train, classify_index, evaluate_predictions).  A subcommand
+reads its index and model directories, runs one stage and writes its
+output, so every stage is independently runnable and testable.  `pipeline`
+hands each stage's index, classifier and predictions to the next stage in
+memory and writes each stage's output once, byte-identical to what the
+subcommand writes.  Exit codes: 0 success, 1 usage/config error, 2
+data/parse error, 3 internal invariant violation.  Given identical inputs,
+flags and seeds, every subcommand writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -335,9 +339,6 @@ def _write_tsv(path, rows) -> None:
             fh.write("\t".join(str(x) for x in row) + "\n")
 
 
-# -- subcommands ----------------------------------------------------------------
-
-
 def _build_index_from_opts(opts, input_path):
     _require_file(input_path)
     _require_file(opts["categories"])
@@ -350,6 +351,132 @@ def _build_index_from_opts(opts, input_path):
     return documents_to_index(docs, categories, _extractor_config(opts))
 
 
+# -- stages: plain functions over an in-memory Index ---------------------------
+
+
+def select_features(index, func: str, policy: str, k: int):
+    """TSR stage: the index reduced to the k best features of `policy`."""
+    if k < 1:
+        raise CliError("--k must be >= 1")
+    if policy == "rr":
+        rankings = per_category_rankings(index, func)
+        return apply_selection(index, selected=select_round_robin(rankings, k))
+    if policy == "local":
+        rankings = per_category_rankings(index, func)
+        local = {ranking.scope: set(ranking.top(k)) for ranking in rankings}
+        return apply_selection(index, local=local)
+    ranking = rank_features(index, func, policy=policy)
+    return apply_selection(index, selected=set(ranking.top(k)))
+
+
+def weight_index(index, scheme: str, k1: float, b: float):
+    """Weighting stage: the index with a tf-idf or BM25 weighting relation."""
+    if scheme == "tfidf":
+        return weighting.tfidf_normalized(index)
+    return weighting.bm25(index, k1=k1, b=b)
+
+
+def classify_index(classifier, index) -> tuple:
+    """Classify stage: the decided {dID: [cID]} map and the score rows."""
+    predictions: dict = {}
+    score_rows = []
+    for d in range(index.num_documents):
+        scores = classifier.score_document(index, d)
+        for c, score in enumerate(scores):
+            score_rows.append((d, c, repr(score)))
+            if classifier.decide(c, score):
+                predictions.setdefault(d, []).append(c)
+    return predictions, score_rows
+
+
+def evaluate_predictions(predictions: dict, gold_index):
+    """Eval stage: contingency tables of predictions against the gold labels."""
+    gold = {d: gold_index.document_categories(d)
+            for d in range(gold_index.num_documents)}
+    return compare(predictions, gold, gold_index.num_documents,
+                   gold_index.num_categories)
+
+
+# Each _*_stage runs a stage on objects in memory, writes its output to
+# opts["out"] and reports it; a cmd_* reads its inputs and calls one of them,
+# and cmd_pipeline chains them without reading back what they wrote.
+
+
+def _tsr_stage(opts, index):
+    reduced = select_features(index, _FUNC_NAMES[opts["func"]],
+                              opts["policy"], opts["k"])
+    serialize_index(reduced, opts["out"])
+    print(f"selected F={reduced.num_features} of {index.num_features} "
+          f"({opts['func']}/{opts['policy']}) -> {opts['out']}")
+    return reduced
+
+
+def _weight_stage(opts, index):
+    weighted = weight_index(index, opts["scheme"], opts["k1"], opts["b"])
+    serialize_index(weighted, opts["out"])
+    print(f"weighted ({opts['scheme']}) -> {opts['out']}")
+    return weighted
+
+
+def _train_stage(opts, index):
+    classifier = train(_learner_from(opts), index)
+    for message in classifier.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    save_classifier(classifier, opts["out"])
+    print(f"trained {classifier.kind} on D={index.num_documents} "
+          f"-> {opts['out']}")
+    return classifier
+
+
+def _classify_stage(opts, classifier, index) -> dict:
+    predictions, score_rows = classify_index(classifier, index)
+    _write_tsv(opts["out"], ((d, c) for d, cs in predictions.items()
+                             for c in cs))
+    _write_tsv(_scores_path(opts["out"]), score_rows)
+    print(f"classified D={index.num_documents} -> {opts['out']}")
+    return predictions
+
+
+def _eval_stage(opts, predictions, gold_index) -> None:
+    table_set = evaluate_predictions(predictions, gold_index)
+    for c in sorted(table_set.per_category):
+        _print_table(f"category {gold_index.categories.name(c)}",
+                     table_set.per_category[c])
+    _print_table("Global results (micro-averaged evaluation)",
+                 table_set.global_table)
+    _write_tsv(opts["out"], _eval_rows(gold_index, table_set))
+
+
+def _quantify_stage(opts, train_index, test_index) -> None:
+    pool = learn_quantifiers(_learner_from(opts), train_index,
+                             folds=opts["folds"],
+                             scaling=LogisticScaling(slope=opts["slope"]))
+    for message in pool.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    estimates = quantify(pool, test_index)
+    truth = true_prevalences(test_index)
+    report = evaluate_quantification(estimates, truth,
+                                     test_index.num_documents)
+    rows = []
+    for c in sorted(truth):
+        label = test_index.categories.name(c)
+        for name in QUANTIFIERS:
+            est = estimates.of(name, c)
+            row = next(r for r in report.rows if r[0] == name and r[1] == c)
+            rows.append((label, name, repr(est), repr(truth[c]),
+                         repr(row[4]), repr(row[5]), repr(row[6])))
+    _write_tsv(opts["out"], rows)
+    for name in QUANTIFIERS:
+        print(f"{name}: mean AE = {report.means[name]['AE']:.4f}")
+
+
+# -- subcommands ----------------------------------------------------------------
+
+
+def _read_index(path):
+    return deserialize_index(_require_index_dir(path))
+
+
 def cmd_index(opts) -> int:
     index = _build_index_from_opts(opts, opts["input"])
     serialize_index(index, opts["out"])
@@ -360,31 +487,12 @@ def cmd_index(opts) -> int:
 
 
 def cmd_tsr(opts) -> int:
-    index = deserialize_index(_require_index_dir(opts["index"]))
-    func = _FUNC_NAMES[opts["func"]]
-    k = opts["k"]
-    if k < 1:
-        raise CliError("--k must be >= 1")
-    policy = opts["policy"]
-    if policy == "rr":
-        rankings = per_category_rankings(index, func)
-        selected = select_round_robin(rankings, k)
-        reduced = apply_selection(index, selected=selected)
-    elif policy == "local":
-        rankings = per_category_rankings(index, func)
-        local = {ranking.scope: set(ranking.top(k)) for ranking in rankings}
-        reduced = apply_selection(index, local=local)
-    else:
-        ranking = rank_features(index, func, policy=policy)
-        reduced = apply_selection(index, selected=set(ranking.top(k)))
-    serialize_index(reduced, opts["out"])
-    print(f"selected F={reduced.num_features} of {index.num_features} "
-          f"({opts['func']}/{policy}) -> {opts['out']}")
+    _tsr_stage(opts, _read_index(opts["index"]))
     return EXIT_OK
 
 
 def cmd_project(opts) -> int:
-    index = deserialize_index(_require_index_dir(opts["index"]))
+    index = _read_index(opts["index"])
     dim = opts["dim"]
     nonzeros = opts["nonzeros"] or max(1, round(dim * 0.01))
     model = build_projection(index, _KIND_NAMES[opts["kind"]], dim,
@@ -397,24 +505,12 @@ def cmd_project(opts) -> int:
 
 
 def cmd_weight(opts) -> int:
-    index = deserialize_index(_require_index_dir(opts["index"]))
-    if opts["scheme"] == "tfidf":
-        weighted = weighting.tfidf_normalized(index)
-    else:
-        weighted = weighting.bm25(index, k1=opts["k1"], b=opts["b"])
-    serialize_index(weighted, opts["out"])
-    print(f"weighted ({opts['scheme']}) -> {opts['out']}")
+    _weight_stage(opts, _read_index(opts["index"]))
     return EXIT_OK
 
 
 def cmd_train(opts) -> int:
-    index = deserialize_index(_require_index_dir(opts["index"]))
-    classifier = train(_learner_from(opts), index)
-    for message in classifier.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    save_classifier(classifier, opts["out"])
-    print(f"trained {classifier.kind} on D={index.num_documents} "
-          f"-> {opts['out']}")
+    _train_stage(opts, _read_index(opts["index"]))
     return EXIT_OK
 
 
@@ -425,18 +521,7 @@ def _scores_path(out_path: str) -> str:
 
 def cmd_classify(opts) -> int:
     classifier = load_classifier(_require_index_dir(opts["model"]))
-    index = deserialize_index(_require_index_dir(opts["index"]))
-    pair_rows = []
-    score_rows = []
-    for d in range(index.num_documents):
-        scores = classifier.score_document(index, d)
-        for c, score in enumerate(scores):
-            score_rows.append((d, c, repr(score)))
-            if classifier.decide(c, score):
-                pair_rows.append((d, c))
-    _write_tsv(opts["out"], pair_rows)
-    _write_tsv(_scores_path(opts["out"]), score_rows)
-    print(f"classified D={index.num_documents} -> {opts['out']}")
+    _classify_stage(opts, classifier, _read_index(opts["index"]))
     return EXIT_OK
 
 
@@ -484,49 +569,19 @@ def _eval_rows(index, table_set):
 
 
 def cmd_eval(opts) -> int:
-    gold_index = deserialize_index(_require_index_dir(opts["gold"]))
-    predictions = _read_predictions(opts["pred"])
-    gold = {d: gold_index.document_categories(d)
-            for d in range(gold_index.num_documents)}
-    table_set = compare(predictions, gold, gold_index.num_documents,
-                        gold_index.num_categories)
-    for c in sorted(table_set.per_category):
-        _print_table(f"category {gold_index.categories.name(c)}",
-                     table_set.per_category[c])
-    _print_table("Global results (micro-averaged evaluation)",
-                 table_set.global_table)
-    _write_tsv(opts["out"], _eval_rows(gold_index, table_set))
+    gold_index = _read_index(opts["gold"])
+    _eval_stage(opts, _read_predictions(opts["pred"]), gold_index)
     return EXIT_OK
 
 
 def cmd_quantify(opts) -> int:
-    train_index = deserialize_index(_require_index_dir(opts["train"]))
-    test_index = deserialize_index(_require_index_dir(opts["test"]))
-    pool = learn_quantifiers(_learner_from(opts), train_index,
-                             folds=opts["folds"],
-                             scaling=LogisticScaling(slope=opts["slope"]))
-    for message in pool.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    estimates = quantify(pool, test_index)
-    truth = true_prevalences(test_index)
-    report = evaluate_quantification(estimates, truth,
-                                     test_index.num_documents)
-    rows = []
-    for c in sorted(truth):
-        label = test_index.categories.name(c)
-        for name in QUANTIFIERS:
-            est = estimates.of(name, c)
-            row = next(r for r in report.rows if r[0] == name and r[1] == c)
-            rows.append((label, name, repr(est), repr(truth[c]),
-                         repr(row[4]), repr(row[5]), repr(row[6])))
-    _write_tsv(opts["out"], rows)
-    for name in QUANTIFIERS:
-        print(f"{name}: mean AE = {report.means[name]['AE']:.4f}")
+    train_index = _read_index(opts["train"])
+    _quantify_stage(opts, train_index, _read_index(opts["test"]))
     return EXIT_OK
 
 
 def cmd_kfold(opts) -> int:
-    index = deserialize_index(_require_index_dir(opts["index"]))
+    index = _read_index(opts["index"])
     plan = make_folds(index, opts["k"], mode=opts["mode"], seed=opts["seed"])
     table_set = kfold_evaluate(_learner_from(opts), index, plan,
                                threads=_threads(opts))
@@ -538,7 +593,7 @@ def cmd_kfold(opts) -> int:
 
 
 def cmd_grid(opts) -> int:
-    index = deserialize_index(_require_index_dir(opts["index"]))
+    index = _read_index(opts["index"])
     grid = {}
     for name, value in _parse_params(opts.get("param")).items():
         grid[name] = [v for v in value.split(",") if v]
@@ -559,6 +614,9 @@ def cmd_grid(opts) -> int:
 
 
 def cmd_pipeline(opts) -> int:
+    """Run the stages in one process.  Each stage's index, classifier or
+    predictions go to the next stage in memory; every stage still writes
+    its output under --out once, the same bytes its subcommand writes."""
     stages = [s.strip() for s in opts["stages"].split(",") if s.strip()]
     if not stages:
         raise CliError("empty stage list")
@@ -578,44 +636,49 @@ def cmd_pipeline(opts) -> int:
 
     root = opts["out"]
     os.makedirs(root, exist_ok=True)
-    current_index_dir = None
-    model_dir = None
-    predictions_path = None
+    index = classifier = predictions = test_index = None
+
+    def eval_index():
+        """--test-input's index when given, else the pipeline's own one
+        (smoke-test mode).  The test index is built once and written to
+        test-index/; a test-index/ left by an earlier run is reused."""
+        nonlocal test_index
+        if opts.get("test_input") is None:
+            return index
+        if test_index is None:
+            test_dir = os.path.join(root, "test-index")
+            if os.path.isdir(test_dir):
+                test_index = deserialize_index(test_dir)
+            else:
+                test_index = _build_index_from_opts(opts, opts["test_input"])
+                serialize_index(test_index, test_dir)
+        return test_index
 
     for stage in stages:
+        out = os.path.join(root, stage)
         try:
             if stage == "index":
                 index = _build_index_from_opts(opts, opts["input"])
-                current_index_dir = os.path.join(root, "index")
-                serialize_index(index, current_index_dir)
+                serialize_index(index, out)
             elif stage == "tsr":
-                stage_opts = dict(opts, index=current_index_dir,
-                                  out=os.path.join(root, "tsr"))
-                if stage_opts["k"] is None:
-                    stage_opts["k"] = 500
-                cmd_tsr(stage_opts)
-                current_index_dir = stage_opts["out"]
+                k = 500 if opts["k"] is None else opts["k"]
+                index = _tsr_stage(dict(opts, k=k, out=out), index)
             elif stage == "weight":
-                stage_opts = dict(opts, index=current_index_dir,
-                                  out=os.path.join(root, "weight"))
-                cmd_weight(stage_opts)
-                current_index_dir = stage_opts["out"]
+                index = _weight_stage(dict(opts, out=out), index)
             elif stage == "train":
-                model_dir = os.path.join(root, "model")
-                cmd_train(dict(opts, index=current_index_dir, out=model_dir))
+                classifier = _train_stage(
+                    dict(opts, out=os.path.join(root, "model")), index)
             elif stage == "classify":
-                target = _resolve_eval_index(opts, current_index_dir, root)
-                predictions_path = os.path.join(root, "predictions.tsv")
-                cmd_classify(dict(opts, model=model_dir, index=target,
-                                  out=predictions_path))
+                predictions = _classify_stage(
+                    dict(opts, out=os.path.join(root, "predictions.tsv")),
+                    classifier, eval_index())
             elif stage == "eval":
-                target = _resolve_eval_index(opts, current_index_dir, root)
-                cmd_eval(dict(opts, pred=predictions_path, gold=target,
-                              out=os.path.join(root, "eval.tsv")))
+                _eval_stage(dict(opts, out=os.path.join(root, "eval.tsv")),
+                            predictions, eval_index())
             elif stage == "quantify":
-                target = _resolve_eval_index(opts, current_index_dir, root)
-                cmd_quantify(dict(opts, train=current_index_dir, test=target,
-                                  out=os.path.join(root, "quantify.tsv")))
+                _quantify_stage(
+                    dict(opts, out=os.path.join(root, "quantify.tsv")),
+                    index, eval_index())
         except (CliError, JatecsError) as exc:
             message = f"stage '{stage}' failed: {exc}"
             if isinstance(exc, CliError):
@@ -625,18 +688,6 @@ def cmd_pipeline(opts) -> int:
             raise ValidationError(message) from exc
     print(f"pipeline done: {','.join(stages)} -> {root}")
     return EXIT_OK
-
-
-def _resolve_eval_index(opts, current_index_dir, root):
-    """Classify/eval/quantify against --test-input when given, else the
-    pipeline's own index (smoke-test mode)."""
-    if opts.get("test_input") is None:
-        return current_index_dir
-    test_dir = os.path.join(root, "test-index")
-    if not os.path.isdir(test_dir):
-        index = _build_index_from_opts(opts, opts["test_input"])
-        serialize_index(index, test_dir)
-    return test_dir
 
 
 _HANDLERS = {

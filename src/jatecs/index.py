@@ -16,13 +16,14 @@ builds from identical input serialize byte-identically.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 #: dense IDs are 32-bit non-negative ints; documented capacity limit
 MAX_ID = 2**31 - 1
@@ -38,17 +39,29 @@ def _check_name(kind: str, name: str) -> None:
 
 
 class ConceptDb:
-    """Ordered table of (id, name) pairs with contiguous ids 0..n-1."""
+    """Ordered table of (id, name) pairs with contiguous ids 0..n-1.
 
-    def __init__(self, names, kind="entry"):
+    Names are checked in bulk; `_checked` skips that for names taken from a
+    table that was checked already (subset_index).
+    """
+
+    def __init__(self, names, kind="entry", _checked=False):
         self.kind = kind
         self._names = list(names)
-        self._ids = {}
-        for i, name in enumerate(self._names):
-            _check_name(kind, name)
-            if name in self._ids:
-                raise ValidationError(f"duplicate {kind} name {name!r}")
-            self._ids[name] = i
+        self._ids = dict(zip(self._names, range(len(self._names))))
+        if not _checked:
+            joined = "".join(self._names)
+            if (len(self._ids) != len(self._names) or "" in self._ids
+                    or any(ch in joined for ch in _FORBIDDEN_NAME_CHARS)):
+                self._raise_first_bad_name()
+
+    def _raise_first_bad_name(self):
+        seen = set()
+        for name in self._names:
+            _check_name(self.kind, name)
+            if name in seen:
+                raise ValidationError(f"duplicate {self.kind} name {name!r}")
+            seen.add(name)
 
     def __len__(self):
         return len(self._names)
@@ -133,8 +146,9 @@ class Index:
         self._documents = documents
         self._domain = domain
         if _normalized:
-            # relations cut from a checked index by subset_index: already
-            # sorted, without empty rows, and sharing that index's row objects
+            # relations that are already sorted, checked and without empty
+            # rows: cut from a checked index by subset_index (sharing its row
+            # objects) or decoded and checked by deserialize_index
             self._content, self._weights = content, weights
             self._doc_cats = classification
         else:
@@ -439,7 +453,7 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
             raise ValidationError("empty document keep set")
         old_ids = sorted(keep_docs)
         doc_db = ConceptDb([index.documents.name(d) for d in old_ids],
-                           kind="document")
+                           kind="document", _checked=True)
 
         def kept_rows(relation):
             return {new: relation[old] for new, old in enumerate(old_ids)
@@ -452,7 +466,8 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
     if not keep_features:
         raise ValidationError("empty feature keep set")
     old_ids = sorted(keep_features)
-    feat_db = ConceptDb([index.features.name(f) for f in old_ids], kind="feature")
+    feat_db = ConceptDb([index.features.name(f) for f in old_ids],
+                        kind="feature", _checked=True)
     remap = {old: new for new, old in enumerate(old_ids)}
 
     def kept_columns(relation):
@@ -478,33 +493,48 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
 #
 # An index directory holds UTF-8, LF-terminated, tab-separated files.  The
 # layout is stable and sorted so that serializing the same index twice (or a
-# deserialized copy of it) produces byte-identical files.
+# deserialized copy of it) produces byte-identical files.  Each file is
+# encoded with one join and decoded with one read and, for the numeric
+# relations, one numpy parse of all its rows.  Blank lines are skipped.  A
+# malformed row (wrong field count, non-numeric field, unknown id,
+# duplicate key) is a ParseError naming its line; the line is looked up only
+# once a file has failed to decode.
 
 FORMAT_VERSION = 1
+
+_CONTENT_ROW = np.dtype([("d", np.int64), ("f", np.int64), ("n", np.int64)])
+_WEIGHT_ROW = np.dtype([("d", np.int64), ("f", np.int64), ("w", np.float64)])
+_PAIR_ROW = np.dtype([("a", np.int64), ("b", np.int64)])
 
 
 def index_file_map(index: Index) -> dict:
     """The serialized form as {filename: bytes}."""
-    def tsv(rows):
-        return ("".join("\t".join(str(x) for x in row) + "\n" for row in rows)
-                ).encode("utf-8")
+    def concepts(db):
+        return "".join(f"{i}\t{name}\n" for i, name in db)
 
+    meta = (("format_version", FORMAT_VERSION),
+            ("documents", index.num_documents),
+            ("features", index.num_features),
+            ("categories", index.num_categories))
     files = {
-        "meta.tsv": tsv([("format_version", FORMAT_VERSION),
-                         ("documents", index.num_documents),
-                         ("features", index.num_features),
-                         ("categories", index.num_categories)]),
-        "categories.tsv": tsv(index.categories),
-        "features.tsv": tsv(index.features),
-        "documents.tsv": tsv(index.documents),
-        "content.tsv": tsv(index.content_items()),
-        "classification.tsv": tsv(index.classification_items()),
-        "weights.tsv": tsv((d, f, repr(w)) for d, f, w in index.weight_items()),
+        "meta.tsv": "".join(f"{key}\t{value}\n" for key, value in meta),
+        "categories.tsv": concepts(index.categories),
+        "features.tsv": concepts(index.features),
+        "documents.tsv": concepts(index.documents),
+        "content.tsv": "".join(f"{d}\t{f}\t{n}\n"
+                               for d, row in index._content.items()
+                               for f, n in row.items()),
+        "classification.tsv": "".join(f"{d}\t{c}\n"
+                                      for d, cs in index._doc_cats.items()
+                                      for c in cs),
+        "weights.tsv": "".join(f"{d}\t{f}\t{w!r}\n"
+                               for d, row in index._weights.items()
+                               for f, w in row.items()),
     }
     if index.domain.local:
         pairs = sorted((f, c) for c, fs in index.domain.valid.items() for f in fs)
-        files["domain.tsv"] = tsv(pairs)
-    return files
+        files["domain.tsv"] = "".join(f"{f}\t{c}\n" for f, c in pairs)
+    return {name: text.encode("utf-8") for name, text in files.items()}
 
 
 def serialize_index(index: Index, directory) -> None:
@@ -514,56 +544,183 @@ def serialize_index(index: Index, directory) -> None:
             fh.write(data)
 
 
-def _read_tsv(directory, name, required=True):
-    path = os.path.join(directory, name)
-    if not os.path.exists(path):
-        if required:
-            raise ValidationError(f"missing index file {path}")
-        return None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [line.rstrip("\n").split("\t") for line in fh if line != "\n" and line]
+class _TsvFile:
+    """The bytes of one index file, and the line numbers of its rows."""
+
+    def __init__(self, directory, name):
+        self.path = os.path.join(directory, name)
+        if not os.path.exists(self.path):
+            raise ValidationError(f"missing index file {self.path}")
+        with open(self.path, "rb") as fh:
+            self.data = fh.read()
+
+    def lines(self):
+        """(line number, line) of every non-blank line."""
+        for line_no, line in enumerate(self.data.split(b"\n"), start=1):
+            if line.rstrip(b"\r"):
+                yield line_no, line
+
+    def fail(self, row: int, message: str):
+        """ParseError at the `row`-th non-blank line (0-based)."""
+        for i, (line_no, _) in enumerate(self.lines()):
+            if i == row:
+                return ParseError(self.path, line_no, message)
+        return ParseError(self.path, 0, message)
+
+    def text_rows(self) -> list:
+        """[line number, id text, name] of every non-blank line."""
+        try:
+            text = self.data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = self.data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(self.path, line_no, "not UTF-8") from None
+        return [[line_no, *line.partition("\t")[::2]]
+                for line_no, line in enumerate(text.split("\n"), start=1)
+                if line]
+
+    def columns(self, row_type: np.dtype) -> np.ndarray:
+        """All rows of a numeric file parsed at once, one field per column."""
+        if not self.data.strip():
+            return np.zeros(0, dtype=row_type)
+        try:
+            return np.loadtxt(io.BytesIO(self.data), dtype=row_type,
+                              delimiter="\t", comments=None, encoding="utf-8",
+                              ndmin=1)
+        except ValueError:  # UnicodeDecodeError included
+            raise self._first_bad_line(row_type) from None
+
+    def _first_bad_line(self, row_type) -> ParseError:
+        width = len(row_type.names)
+        for line_no, line in self.lines():
+            fields = line.rstrip(b"\r").split(b"\t")
+            if len(fields) != width:
+                return ParseError(self.path, line_no, f"expected {width} "
+                                  f"tab-separated fields, got {len(fields)}")
+            try:
+                np.loadtxt([line.decode("utf-8")], dtype=row_type,
+                           delimiter="\t", comments=None)
+            except ValueError:
+                return ParseError(self.path, line_no,
+                                  f"non-numeric field in {line!r}")
+        return ParseError(self.path, 0, "unreadable rows")
+
+    def check(self, bad: np.ndarray, message: str) -> None:
+        """A ParseError at the first row where `bad` holds."""
+        if bad.any():
+            raise self.fail(int(np.argmax(bad)), message)
+
+    def check_ids(self, ids: np.ndarray, bound: int, what: str) -> None:
+        self.check((ids < 0) | (ids >= bound), f"unknown {what} id")
+
+    def sorted_rows(self, rows, major, minor, n_minor, what):
+        """Rows sorted by (major, minor) id; a repeated pair is an error at
+        its second row."""
+        keys = rows[major] * n_minor + rows[minor]
+        if np.all(keys[1:] > keys[:-1]):
+            return rows
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            raise self.fail(int(repeats.min()), f"duplicate {what} row")
+        return rows[order]
+
+
+def _grouped(groups, *columns):
+    """(group, [column slices]) of rows sorted by group, as Python objects."""
+    cuts = (np.flatnonzero(groups[1:] != groups[:-1]) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, len(groups)]
+    lists = [column.tolist() for column in columns]
+    names = groups.tolist()
+    for start, end in zip(starts, ends):
+        if start < end:
+            yield names[start], [values[start:end] for values in lists]
+
+
+def _read_meta(directory) -> dict:
+    tsv = _TsvFile(directory, "meta.tsv")
+    meta = {}
+    for line_no, key, value in tsv.text_rows():
+        try:
+            meta[key] = int(value)
+        except ValueError:
+            raise ParseError(tsv.path, line_no, f"non-integer {key}") from None
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported index format_version {meta.get('format_version')}")
+    for key in ("documents", "features", "categories"):
+        if key not in meta:
+            raise ParseError(tsv.path, 0, f"no {key} count")
+    return meta
+
+
+def _read_concepts(directory, name, kind, expected) -> ConceptDb:
+    tsv = _TsvFile(directory, name)
+    rows = tsv.text_rows()
+    if [row[1] for row in rows] != [str(i) for i in range(len(rows))]:
+        for i, (line_no, id_text, _) in enumerate(rows):
+            if id_text != str(i):
+                raise ParseError(tsv.path, line_no, f"expected id {i}")
+    if len(rows) != expected:
+        raise ValidationError(f"{name}: expected {expected} entries")
+    return ConceptDb([row[2] for row in rows], kind=kind)
 
 
 def deserialize_index(directory) -> Index:
     """Load an index directory written by :func:`serialize_index`."""
-    meta = dict((row[0], int(row[1])) for row in _read_tsv(directory, "meta.tsv"))
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported index format_version {meta.get('format_version')}")
+    meta = _read_meta(directory)
+    cat_db = _read_concepts(directory, "categories.tsv", "category",
+                            meta["categories"])
+    feat_db = _read_concepts(directory, "features.tsv", "feature",
+                             meta["features"])
+    doc_db = _read_concepts(directory, "documents.tsv", "document",
+                            meta["documents"])
+    n_docs, n_feats, n_cats = len(doc_db), len(feat_db), len(cat_db)
 
-    def concept(name, kind, expected):
-        rows = _read_tsv(directory, name)
-        names = []
-        for i, row in enumerate(rows):
-            if int(row[0]) != i:
-                raise ValidationError(f"{name}: ids not contiguous at line {i + 1}")
-            names.append(row[1])
-        if len(names) != expected:
-            raise ValidationError(f"{name}: expected {expected} entries")
-        return ConceptDb(names, kind=kind)
+    tsv = _TsvFile(directory, "content.tsv")
+    rows = tsv.columns(_CONTENT_ROW)
+    tsv.check_ids(rows["d"], n_docs, "document")
+    tsv.check_ids(rows["f"], n_feats, "feature")
+    tsv.check(rows["n"] <= 0, "non-positive count")
+    rows = tsv.sorted_rows(rows, "d", "f", n_feats, "content")
+    content = {d: dict(zip(fs, ns))
+               for d, (fs, ns) in _grouped(rows["d"], rows["f"], rows["n"])}
+    content_keys = rows["d"] * n_feats + rows["f"]
 
-    cat_db = concept("categories.tsv", "category", meta["categories"])
-    feat_db = concept("features.tsv", "feature", meta["features"])
-    doc_db = concept("documents.tsv", "document", meta["documents"])
-    content: dict = {}
-    for row in _read_tsv(directory, "content.tsv"):
-        d, f, n = int(row[0]), int(row[1]), int(row[2])
-        content.setdefault(d, {})[f] = n
-    weights: dict = {}
-    for row in _read_tsv(directory, "weights.tsv"):
-        d, f, w = int(row[0]), int(row[1]), float(row[2])
-        weights.setdefault(d, {})[f] = w
-    classification: dict = {}
-    for row in _read_tsv(directory, "classification.tsv"):
-        d, c = int(row[0]), int(row[1])
-        classification.setdefault(d, []).append(c)
+    tsv = _TsvFile(directory, "weights.tsv")
+    rows = tsv.columns(_WEIGHT_ROW)
+    tsv.check_ids(rows["d"], n_docs, "document")
+    tsv.check_ids(rows["f"], n_feats, "feature")
+    tsv.check(~np.isfinite(rows["w"]), "non-finite weight")
+    keys = rows["d"] * n_feats + rows["f"]
+    known = np.append(content_keys, -1)  # -1 answers keys past the end
+    tsv.check(known[np.searchsorted(content_keys, keys)] != keys,
+              "weight without a content entry")
+    rows = tsv.sorted_rows(rows, "d", "f", n_feats, "weight")
+    # weight rows take their feature ids from the content rows' id objects,
+    # so the two relations share them
+    content_ids = np.array(list(chain.from_iterable(content.values())),
+                           dtype=object)
+    shared = content_ids[np.searchsorted(content_keys,
+                                         rows["d"] * n_feats + rows["f"])]
+    weights = {d: dict(zip(fs, ws))
+               for d, (fs, ws) in _grouped(rows["d"], shared, rows["w"])}
+
+    tsv = _TsvFile(directory, "classification.tsv")
+    rows = tsv.columns(_PAIR_ROW)
+    tsv.check_ids(rows["a"], n_docs, "document")
+    tsv.check_ids(rows["b"], n_cats, "category")
+    rows = tsv.sorted_rows(rows, "a", "b", n_cats, "classification")
+    classification = {d: tuple(cs)
+                      for d, (cs,) in _grouped(rows["a"], rows["b"])}
+
     domain = GLOBAL_DOMAIN
-    domain_rows = _read_tsv(directory, "domain.tsv", required=False)
-    if domain_rows is not None:
-        valid: dict = {}
-        for row in domain_rows:
-            f, c = int(row[0]), int(row[1])
-            valid.setdefault(c, set()).add(f)
-        domain = DomainDb(local=True,
-                          valid={c: frozenset(fs) for c, fs in valid.items()})
-    return Index(cat_db, feat_db, doc_db, content, classification, weights, domain)
+    if os.path.exists(os.path.join(directory, "domain.tsv")):
+        tsv = _TsvFile(directory, "domain.tsv")
+        rows = tsv.columns(_PAIR_ROW)
+        tsv.check_ids(rows["a"], n_feats, "feature")
+        tsv.check_ids(rows["b"], n_cats, "category")
+        rows = tsv.sorted_rows(rows, "b", "a", n_feats, "domain")
+        domain = DomainDb(local=True, valid={
+            c: frozenset(fs) for c, (fs,) in _grouped(rows["b"], rows["a"])})
+    return Index(cat_db, feat_db, doc_db, content, classification, weights,
+                 domain, _normalized=True)

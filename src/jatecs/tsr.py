@@ -6,12 +6,19 @@ gain, chi-square, pointwise mutual information, odds ratio) map those counts
 to a relevance score.  Selection policies turn per-category rankings into a
 reduced feature space: local per-category selection, the max / sum / weighted
 global variants, and round robin.
+
+Rankings count every (feature, category) pair at once from the index's
+array view (Yang & Pedersen 1997): df is one bincount over the nonzeros and
+each category's a one bincount over its documents' nonzeros.  Only distinct
+count tables are scored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .index import DomainDb, Index, subset_index
@@ -130,61 +137,70 @@ class FeatureRanking:
         return [f for f, _ in self.entries[:k]]
 
 
-def _sorted_ranking(scope, scores) -> FeatureRanking:
-    entries = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return FeatureRanking(scope=scope, entries=tuple(entries))
+def _category_scores(index: Index, func: str, categories) -> np.ndarray:
+    """len(categories) x F scores of every feature against each category.
 
-
-def _category_scores(index: Index, func: str, c_id: int) -> dict:
-    """Score of every feature against one category, without set algebra
-    per feature: membership counts come from intersecting posting lists."""
-    cat_docs = index.category_documents(c_id)
-    n = index.num_documents
-    n_pos = len(cat_docs)
-    scores = {}
-    for f in range(index.num_features):
-        posting = index.feature_documents(f)
-        a = sum(1 for d in posting if d in cat_docs)
-        b = len(posting) - a
-        c = n_pos - a
-        counts = CooccurrenceCounts(a, b, c, n - a - b - c)
-        scores[f] = tsr_score(counts, func)
+    a[f] comes from one bincount of the category's nonzeros and df from one
+    bincount of all of them; tsr_score is called once per distinct
+    (a, df) pair, so every score is the scalar one bit for bit.
+    """
+    view = index.arrays()
+    n, n_feats = index.num_documents, index.num_features
+    df = np.bincount(view.features, minlength=n_feats)
+    scores = np.zeros((len(categories), n_feats))
+    for row, c in enumerate(categories):
+        n_pos = len(index.category_documents(c))
+        a = np.bincount(view.features[view.labels[view.rows, c]],
+                        minlength=n_feats)
+        pairs, inverse = np.unique(a * (n + 1) + df, return_inverse=True)
+        a_values, df_values = divmod(pairs, n + 1)
+        distinct = [tsr_score(CooccurrenceCounts(a_, df_ - a_, n_pos - a_,
+                                                 n - df_ - n_pos + a_), func)
+                    for a_, df_ in zip(a_values.tolist(), df_values.tolist())]
+        scores[row] = np.asarray(distinct)[inverse]
     return scores
+
+
+def _sorted_ranking(scope, scores: np.ndarray) -> FeatureRanking:
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return FeatureRanking(scope=scope, entries=tuple(
+        zip(order.tolist(), scores[order].tolist())))
 
 
 def rank_features(index: Index, func: str, scope=None, policy=GLOBAL_MAX):
     """Per-category ranking (scope = cID) or a global one (scope = None).
 
-    Global rankings combine the per-category scores: `max` keeps each
-    feature's best score, `sum` adds them, `wavg` weighs each category's
-    score by its prior |c|/D.
+    Global rankings combine the per-category scores in ascending category
+    order: `max` keeps each feature's best score (the first one on ties),
+    `sum` adds them, `wavg` weighs each category's score by its prior |c|/D.
     """
     if index.num_documents == 0:
         raise ValidationError("cannot rank features of an empty index")
     if scope is not None:
-        return _sorted_ranking(scope, _category_scores(index, func, scope))
+        return _sorted_ranking(scope, _category_scores(index, func, [scope])[0])
     if policy not in (GLOBAL_MAX, GLOBAL_SUM, GLOBAL_WAVG):
         raise ValidationError(f"unknown global policy {policy!r}")
     d_total = index.num_documents
-    per_cat = [_category_scores(index, func, c)
-               for c in range(index.num_categories)]
-    combined = {}
-    for f in range(index.num_features):
-        if policy == GLOBAL_MAX:
-            combined[f] = max(scores[f] for scores in per_cat)
-        elif policy == GLOBAL_SUM:
-            combined[f] = sum(scores[f] for scores in per_cat)
-        else:
-            combined[f] = sum(
-                (len(index.category_documents(c)) / d_total) * per_cat[c][f]
-                for c in range(index.num_categories))
+    per_cat = _category_scores(index, func, range(index.num_categories))
+    if policy == GLOBAL_MAX:
+        combined = np.full(index.num_features, -np.inf)
+        for scores in per_cat:
+            combined = np.where(scores > combined, scores, combined)
+    else:
+        combined = np.zeros(index.num_features)
+        for c, scores in enumerate(per_cat):
+            if policy == GLOBAL_WAVG:
+                scores = (len(index.category_documents(c)) / d_total) * scores
+            combined = combined + scores
     return _sorted_ranking(None, combined)
 
 
 def per_category_rankings(index: Index, func: str) -> list:
     """One ranking per category, ascending cID."""
-    return [rank_features(index, func, scope=c)
-            for c in range(index.num_categories)]
+    if index.num_categories and index.num_documents == 0:
+        raise ValidationError("cannot rank features of an empty index")
+    per_cat = _category_scores(index, func, range(index.num_categories))
+    return [_sorted_ranking(c, scores) for c, scores in enumerate(per_cat)]
 
 
 def select_round_robin(rankings, k: int) -> set:
