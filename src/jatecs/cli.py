@@ -7,8 +7,9 @@ output, so every stage is independently runnable and testable.  `pipeline`
 hands each stage's index, classifier and predictions to the next stage in
 memory and writes each stage's output once, byte-identical to what the
 subcommand writes.  Exit codes: 0 success, 1 usage/config error, 2
-data/parse error, 3 internal invariant violation.  Given identical inputs,
-flags and seeds, every subcommand writes byte-identical outputs.
+data/parse error or a file that cannot be read or written, 3 internal
+invariant violation.  Given identical inputs, flags and seeds, every
+subcommand writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -480,7 +481,7 @@ def _read_index(path):
 def cmd_index(opts) -> int:
     index = _build_index_from_opts(opts, opts["input"])
     serialize_index(index, opts["out"])
-    nnz = sum(1 for _ in index.content_items())
+    nnz = len(index.arrays().features)
     print(f"indexed D={index.num_documents} F={index.num_features} "
           f"C={index.num_categories} nnz={nnz} -> {opts['out']}")
     return EXIT_OK
@@ -640,18 +641,14 @@ def cmd_pipeline(opts) -> int:
 
     def eval_index():
         """--test-input's index when given, else the pipeline's own one
-        (smoke-test mode).  The test index is built once and written to
-        test-index/; a test-index/ left by an earlier run is reused."""
+        (smoke-test mode).  The test index is built once per run and
+        written to test-index/."""
         nonlocal test_index
         if opts.get("test_input") is None:
             return index
         if test_index is None:
-            test_dir = os.path.join(root, "test-index")
-            if os.path.isdir(test_dir):
-                test_index = deserialize_index(test_dir)
-            else:
-                test_index = _build_index_from_opts(opts, opts["test_input"])
-                serialize_index(test_index, test_dir)
+            test_index = _build_index_from_opts(opts, opts["test_input"])
+            serialize_index(test_index, os.path.join(root, "test-index"))
         return test_index
 
     for stage in stages:
@@ -717,16 +714,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except JatecsError as exc:
+    except (JatecsError, OSError) as exc:  # bad data, failed read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

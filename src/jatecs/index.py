@@ -5,21 +5,22 @@ documents) and the sparse relations between them: content (document x feature
 occurrence counts), classification (document x category, multilabel), domain
 (feature x category validity) and weighting (document x feature real weights).
 
-Indexes are immutable after construction and therefore safe to share across
-threads.  Content is stored document-major; the feature-major mirror behind
-:meth:`Index.feature_documents` and the numpy :class:`IndexArrays` view the
-learners read are each built on first use and published with one assignment,
-so a concurrent first use at worst builds the same value twice.  All
-iteration orders are deterministic (ascending ID), which is what makes two
-builds from identical input serialize byte-identically.
+Content, weighting and classification are stored once, as the numpy arrays
+of :class:`IndexArrays` (a document-major CSR and a label matrix), built at
+construction; every accessor is a read of those arrays.  Indexes are
+immutable and therefore safe to share across threads.  All iteration orders
+are deterministic (ascending ID), which is what makes two builds from
+identical input serialize byte-identically.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
-from itertools import chain
+from contextlib import suppress
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -42,18 +43,24 @@ class ConceptDb:
     """Ordered table of (id, name) pairs with contiguous ids 0..n-1.
 
     Names are checked in bulk; `_checked` skips that for names taken from a
-    table that was checked already (subset_index).
+    table that was checked already (subset_index).  The name -> id map is
+    built on the first lookup by name: building an index looks names up,
+    but no stage run on a loaded index does.
     """
 
     def __init__(self, names, kind="entry", _checked=False):
         self.kind = kind
         self._names = list(names)
-        self._ids = dict(zip(self._names, range(len(self._names))))
         if not _checked:
             joined = "".join(self._names)
-            if (len(self._ids) != len(self._names) or "" in self._ids
+            if (len(set(self._names)) != len(self._names)
+                    or not all(self._names)
                     or any(ch in joined for ch in _FORBIDDEN_NAME_CHARS)):
                 self._raise_first_bad_name()
+
+    @cached_property
+    def _ids(self) -> dict:
+        return dict(zip(self._names, range(len(self._names))))
 
     def _raise_first_bad_name(self):
         seen = set()
@@ -104,26 +111,20 @@ class DomainDb:
             return None
         return self.valid.get(c_id, frozenset())
 
-    def is_valid(self, f_id: int, c_id: int) -> bool:
-        if not self.local:
-            return True
-        return f_id in self.valid.get(c_id, frozenset())
-
 
 GLOBAL_DOMAIN = DomainDb(local=False)
 
 
 @dataclass(frozen=True)
 class IndexArrays:
-    """Read-only array view of an index, the form the learners read.
+    """The storage of an index's content, weighting and classification.
 
-    Only this module builds it, so a change of the index's storage changes
-    how the view is built and not its readers.  The content relation is a
-    document-major CSR: the nonzeros of document d are
-    ``indptr[d]:indptr[d + 1]``, in ascending feature id.  ``weights`` holds
-    the weighting relation aligned with the content entries (0.0 where it
-    has none) and ``rows`` the document id of every nonzero.  ``labels`` is
-    the D x C classification matrix.
+    The content relation is a document-major CSR: the nonzeros of document
+    d are ``indptr[d]:indptr[d + 1]``, in ascending feature id, and ``rows``
+    holds the document id of every nonzero.  ``weights`` holds the weighting
+    relation aligned with the content entries (0.0 where it has none; the
+    index keeps which entries it has apart from this).  ``labels`` is the
+    D x C classification matrix.  Every array is read-only.
     """
 
     indptr: np.ndarray    # int64, D + 1
@@ -134,79 +135,150 @@ class IndexArrays:
     labels: np.ndarray    # bool, D x C
 
 
+# one row of a relation, as decoded from its file or flattened from dicts
+_CONTENT_ROW = np.dtype([("d", np.int64), ("f", np.int64), ("n", np.int64)])
+_WEIGHT_ROW = np.dtype([("d", np.int64), ("f", np.int64), ("w", np.float64)])
+_PAIR_ROW = np.dtype([("a", np.int64), ("b", np.int64)])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _csr(n_docs, rows, features, counts, weights, labels) -> IndexArrays:
+    """IndexArrays over nonzeros sorted by (document, feature)."""
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
+    return IndexArrays(
+        indptr=_frozen(indptr),
+        rows=_frozen(np.ascontiguousarray(rows, dtype=np.intp)),
+        features=_frozen(np.ascontiguousarray(features, dtype=np.int32)),
+        counts=_frozen(np.ascontiguousarray(counts, dtype=np.int64)),
+        weights=_frozen(np.ascontiguousarray(weights, dtype=np.float64)),
+        labels=_frozen(labels))
+
+
+class _Rows:
+    """The rows of one relation (`rows`) and checks on them; a subclass's
+    `fail(row, message)` makes the error that says where the row is."""
+
+    def check(self, bad: np.ndarray, message: str) -> None:
+        """Raise at the first row where `bad` holds."""
+        if bad.any():
+            raise self.fail(int(np.argmax(bad)), message)
+
+    def check_ids(self, ids: np.ndarray, bound: int, what: str) -> None:
+        self.check((ids < 0) | (ids >= bound), f"unknown {what} id")
+
+    def sorted_rows(self, rows, major, minor, n_minor, what):
+        """Rows sorted by (major, minor) id; a repeated pair is an error at
+        its second row."""
+        keys = rows[major] * n_minor + rows[minor]
+        if np.all(keys[1:] > keys[:-1]):
+            return rows
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            raise self.fail(int(repeats.min()), f"duplicate {what} row")
+        return rows[order]
+
+
+class _DictRows(_Rows):
+    """The rows of a relation given as {key: {key2: value}} or
+    {key: [key2]}; a failed check is a ValidationError naming the entry."""
+
+    def __init__(self, name: str, relation: dict, row_type: np.dtype):
+        self.name = name
+        self.rows = np.zeros(sum(map(len, relation.values())), dtype=row_type)
+        first, second, *value = row_type.names
+        self.rows[first] = list(chain.from_iterable(
+            repeat(key, len(cells)) for key, cells in relation.items()))
+        self.rows[second] = list(chain.from_iterable(relation.values()))
+        if value:
+            self.rows[value[0]] = list(chain.from_iterable(
+                cells.values() for cells in relation.values()))
+
+    def fail(self, row, message):
+        key = self.rows[row].tolist()[:2]
+        return ValidationError(f"{self.name} entry {key}: {message}")
+
+
+def _placed(docs, feats, n_docs, n_feats, source: _Rows):
+    """Weight rows placed on the content entries (`docs`, `feats`, sorted):
+    the weights, 0.0 where a row is missing, and the mask of the placed
+    entries."""
+    rows = source.rows
+    source.check_ids(rows["d"], n_docs, "document")
+    source.check_ids(rows["f"], n_feats, "feature")
+    source.check(~np.isfinite(rows["w"]), "non-finite weight")
+    keys = docs.astype(np.int64) * n_feats + feats
+    wanted = rows["d"] * n_feats + rows["f"]
+    at = np.searchsorted(keys, wanted)
+    source.check(np.append(keys, -1)[at] != wanted,  # -1: past the end
+                 "weight without a content entry")
+    source.sorted_rows(rows, "d", "f", n_feats, "weight")  # rejects repeats
+    weights = np.zeros(len(keys))
+    weights[at] = rows["w"]
+    weighted = np.zeros(len(keys), dtype=bool)
+    weighted[at] = True
+    return weights, weighted
+
+
+def _stored(n_docs, n_feats, n_cats, content, weights, classification):
+    """The arrays and the weight mask of an index from the rows of its
+    content, weighting and classification relations; bad ids, counts and
+    weights and repeated keys are rejected."""
+    rows = content.rows
+    content.check_ids(rows["d"], n_docs, "document")
+    content.check_ids(rows["f"], n_feats, "feature")
+    content.check(rows["n"] <= 0, "non-positive count")
+    rows = content.sorted_rows(rows, "d", "f", n_feats, "content")
+    placed, weighted = _placed(rows["d"], rows["f"], n_docs, n_feats, weights)
+    pairs = classification.rows
+    classification.check_ids(pairs["a"], n_docs, "document")
+    classification.check_ids(pairs["b"], n_cats, "category")
+    classification.sorted_rows(pairs, "a", "b", n_cats, "classification")
+    labels = np.zeros((n_docs, n_cats), dtype=bool)
+    labels[pairs["a"], pairs["b"]] = True
+    return _csr(n_docs, rows["d"], rows["f"], rows["n"], placed,
+                labels), _frozen(weighted)
+
+
+def _check_domain(domain: DomainDb, n_feats, n_cats) -> None:
+    if domain.local:
+        source = _DictRows("domain", domain.valid, _PAIR_ROW)
+        source.check_ids(source.rows["a"], n_cats, "category")
+        source.check_ids(source.rows["b"], n_feats, "feature")
+
+
 class Index:
     """Immutable corpus index. Use :func:`build_index` to construct one."""
 
     def __init__(self, categories: ConceptDb, features: ConceptDb,
                  documents: ConceptDb, content: dict, classification: dict,
-                 weights: dict, domain: DomainDb = GLOBAL_DOMAIN,
-                 _normalized: bool = False):
-        self._categories = categories
-        self._features = features
-        self._documents = documents
-        self._domain = domain
-        if _normalized:
-            # relations that are already sorted, checked and without empty
-            # rows: cut from a checked index by subset_index (sharing its row
-            # objects) or decoded and checked by deserialize_index
-            self._content, self._weights = content, weights
-            self._doc_cats = classification
-        else:
-            # content: dID -> {fID: count}, ascending keys both levels
-            self._content = {
-                d: dict(sorted(feats.items()))
-                for d, feats in sorted(content.items()) if feats
-            }
-            self._weights = {
-                d: dict(sorted(ws.items()))
-                for d, ws in sorted(weights.items()) if ws
-            }
-            self._doc_cats = {
-                d: tuple(sorted(cs))
-                for d, cs in sorted(classification.items()) if cs
-            }
-            self._check_references()
-        self._postings = None  # feature-major mirror, built on first use
-        self._arrays = None    # IndexArrays, built on first use
-        self._cat_docs: dict = {c: set() for c in range(len(categories))}
-        for d, cs in self._doc_cats.items():
-            for c in cs:
-                self._cat_docs[c].add(d)
-        self._cat_docs = {c: frozenset(ds) for c, ds in self._cat_docs.items()}
+                 weights: dict, domain: DomainDb = GLOBAL_DOMAIN):
+        _check_domain(domain, len(features), len(categories))
+        arrays, weighted = _stored(
+            len(documents), len(features), len(categories),
+            _DictRows("content", content, _CONTENT_ROW),
+            _DictRows("weighting", weights, _WEIGHT_ROW),
+            _DictRows("classification", classification, _PAIR_ROW))
+        self._set(categories, features, documents, arrays, weighted, domain)
 
-    def _check_references(self):
-        D, F, C = len(self._documents), len(self._features), len(self._categories)
-        for d, feats in self._content.items():
-            if not 0 <= d < D:
-                raise ValidationError(f"content references unknown document {d}")
-            for f, n in feats.items():
-                if not 0 <= f < F:
-                    raise ValidationError(f"content references unknown feature {f}")
-                if n <= 0:
-                    raise ValidationError(f"non-positive count {n} at ({d},{f})")
-        for d, ws in self._weights.items():
-            feats = self._content.get(d, {})
-            for f, w in ws.items():
-                if f not in feats:
-                    raise ValidationError(
-                        f"weight at ({d},{f}) has no content entry")
-                if w != w or w in (float("inf"), float("-inf")):
-                    raise ValidationError(f"non-finite weight at ({d},{f})")
-        for d, cs in self._doc_cats.items():
-            if not 0 <= d < D:
-                raise ValidationError(f"classification references unknown document {d}")
-            if len(set(cs)) != len(cs):
-                raise ValidationError(f"duplicate labels for document {d}")
-            for c in cs:
-                if not 0 <= c < C:
-                    raise ValidationError(f"classification references unknown category {c}")
-        if self._domain.local:
-            for c, fs in self._domain.valid.items():
-                if not 0 <= c < C:
-                    raise ValidationError(f"domain references unknown category {c}")
-                for f in fs:
-                    if not 0 <= f < F:
-                        raise ValidationError(f"domain references unknown feature {f}")
+    @classmethod
+    def _from_arrays(cls, *parts) -> "Index":
+        """An index over already checked arrays (see :meth:`_set`)."""
+        index = cls.__new__(cls)
+        index._set(*parts)
+        return index
+
+    def _set(self, categories, features, documents, arrays: IndexArrays,
+             weighted: np.ndarray, domain: DomainDb) -> None:
+        # weighted: bool per content entry, True where the weighting has it
+        self._categories, self._features, self._documents = (
+            categories, features, documents)
+        self._arrays, self._weighted, self._domain = arrays, weighted, domain
 
     # -- concept tables ----------------------------------------------------
 
@@ -240,115 +312,97 @@ class Index:
 
     # -- relations ---------------------------------------------------------
 
+    def _row(self, d_id: int) -> slice:
+        self._documents.name(d_id)
+        indptr = self._arrays.indptr
+        return slice(indptr[d_id], indptr[d_id + 1])
+
     def document_features(self, d_id: int) -> dict:
         """Content row for a document: {fID: count}, ascending fID."""
-        self._documents.name(d_id)
-        return self._content.get(d_id, {})
+        row, a = self._row(d_id), self._arrays
+        return dict(zip(a.features[row].tolist(), a.counts[row].tolist()))
 
     def document_weights(self, d_id: int) -> dict:
-        """Weight row for a document: {fID: weight}, ascending fID."""
-        self._documents.name(d_id)
-        return self._weights.get(d_id, {})
+        """Weight row for a document: {fID: weight}, ascending fID, only
+        the entries the weighting relation has."""
+        row, a = self._row(d_id), self._arrays
+        has = self._weighted[row]
+        return dict(zip(a.features[row][has].tolist(),
+                        a.weights[row][has].tolist()))
 
     def feature_documents(self, f_id: int) -> dict:
-        """Posting list for a feature: {dID: count}, ascending dID."""
+        """Posting list for a feature: {dID: count}, ascending dID; O(nnz)."""
         self._features.name(f_id)
-        postings = self._postings
-        if postings is None:
-            postings = {}
-            for d, feats in self._content.items():
-                for f, n in feats.items():
-                    postings.setdefault(f, {})[d] = n
-            self._postings = postings
-        return postings.get(f_id, {})
+        a = self._arrays
+        hits = a.features == f_id
+        return dict(zip(a.rows[hits].tolist(), a.counts[hits].tolist()))
 
     def document_frequency(self, f_id: int) -> int:
         return len(self.feature_documents(f_id))
 
     def document_categories(self, d_id: int) -> tuple:
         self._documents.name(d_id)
-        return self._doc_cats.get(d_id, ())
+        return tuple(np.flatnonzero(self._arrays.labels[d_id]).tolist())
 
     def category_documents(self, c_id: int) -> frozenset:
         self._categories.name(c_id)
-        return self._cat_docs.get(c_id, frozenset())
+        return frozenset(np.flatnonzero(self._arrays.labels[:, c_id]).tolist())
 
     def classification_size(self) -> int:
         """Total number of (document, category) label pairs."""
-        return sum(len(cs) for cs in self._doc_cats.values())
+        return int(np.count_nonzero(self._arrays.labels))
 
     def content_items(self):
         """All (dID, fID, count) triples, sorted by dID then fID."""
-        for d, feats in self._content.items():
-            for f, n in feats.items():
-                yield d, f, n
+        a = self._arrays
+        return zip(a.rows.tolist(), a.features.tolist(), a.counts.tolist())
 
     def weight_items(self):
-        for d, ws in self._weights.items():
-            for f, w in ws.items():
-                yield d, f, w
+        """All (dID, fID, weight) triples of the weighting relation."""
+        a, has = self._arrays, self._weighted
+        return zip(a.rows[has].tolist(), a.features[has].tolist(),
+                   a.weights[has].tolist())
 
     def classification_items(self):
-        for d, cs in self._doc_cats.items():
-            for c in cs:
-                yield d, c
+        """All (dID, cID) label pairs, sorted by dID then cID."""
+        docs, cats = np.nonzero(self._arrays.labels)
+        return zip(docs.tolist(), cats.tolist())
 
     def arrays(self) -> IndexArrays:
-        """The read-only numpy view of content, weights and labels."""
-        view = self._arrays
-        if view is None:
-            view = self._build_arrays()
-            self._arrays = view
-        return view
-
-    def _build_arrays(self) -> IndexArrays:
-        n_docs = self.num_documents
-        lengths = np.zeros(n_docs, dtype=np.int64)
-        lengths[list(self._content)] = [len(fs)
-                                        for fs in self._content.values()]
-        nnz = int(lengths.sum())
-        indptr = np.zeros(n_docs + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        content = self._content.values()
-        features = np.fromiter(chain.from_iterable(content), dtype=np.int32,
-                               count=nnz)
-        counts = np.fromiter(chain.from_iterable(fs.values() for fs in content),
-                             dtype=np.int64, count=nnz)
-        weights = np.fromiter(chain.from_iterable(self._aligned_weights()),
-                              dtype=np.float64, count=nnz)
-        labels = np.zeros((n_docs, self.num_categories), dtype=bool)
-        for d, cs in self._doc_cats.items():
-            labels[d, list(cs)] = True
-        rows = np.repeat(np.arange(n_docs, dtype=np.intp), lengths)
-        for array in (indptr, rows, features, counts, weights, labels):
-            array.flags.writeable = False
-        return IndexArrays(indptr=indptr, rows=rows, features=features,
-                           counts=counts, weights=weights, labels=labels)
-
-    def _aligned_weights(self):
-        """Per content row, its weights in the row's order (0.0 if none)."""
-        empty: dict = {}
-        for d, feats in self._content.items():
-            ws = self._weights.get(d, empty)
-            if ws.keys() == feats.keys():  # both sorted by feature id
-                yield ws.values()
-            else:
-                yield [ws.get(f, 0.0) for f in feats]
+        """The stored, read-only arrays of content, weights and labels."""
+        return self._arrays
 
     # -- derived constructors ---------------------------------------------
 
     def with_weighting(self, weights: dict) -> "Index":
         """New index sharing everything but the weighting relation.
 
-        `weights` is document-major: {dID: {fID: weight}}.  Used by the
-        weighting passes; keys must be a subset of the content keys.
+        `weights` is document-major: {dID: {fID: weight}}; its keys must be
+        a subset of the content keys.
         """
-        return Index(self._categories, self._features, self._documents,
-                     self._content, self._doc_cats, weights, self._domain)
+        a = self._arrays
+        return self.with_weight_values(*_placed(
+            a.rows, a.features, self.num_documents, self.num_features,
+            _DictRows("weighting", weights, _WEIGHT_ROW)))
+
+    def with_weight_values(self, values, weighted=None) -> "Index":
+        """New index sharing everything but the weights: `values` aligned
+        with ``arrays().features``, of which the weighting relation has the
+        entries where `weighted` holds (every entry by default)."""
+        if weighted is None:
+            weighted = np.ones(len(values), dtype=bool)
+        arrays = replace(self._arrays, weights=_frozen(
+            np.ascontiguousarray(values, dtype=np.float64)))
+        return Index._from_arrays(self._categories, self._features,
+                                  self._documents, arrays,
+                                  _frozen(np.asarray(weighted, dtype=bool)),
+                                  self._domain)
 
     def with_domain(self, domain: DomainDb) -> "Index":
-        return Index(self._categories, self._features, self._documents,
-                     self._content, self._doc_cats, self._weights, domain)
+        _check_domain(domain, self.num_features, self.num_categories)
+        return Index._from_arrays(self._categories, self._features,
+                                  self._documents, self._arrays,
+                                  self._weighted, domain)
 
 
 def build_index(docs, labels, categories) -> Index:
@@ -388,6 +442,9 @@ def build_index(docs, labels, categories) -> Index:
             if count <= 0:
                 raise ValidationError(
                     f"non-positive count {count} for feature {text!r} in {name!r}")
+            if count != int(count):  # counts are stored as int64
+                raise ValidationError(
+                    f"fractional count {count} for feature {text!r} in {name!r}")
             f = feature_ids.get(text)
             if f is None:
                 _check_name("feature", text)
@@ -444,49 +501,51 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
     existing ids.  Kept ids are re-compacted to a contiguous range preserving
     their original relative order; the other two concept tables are untouched
     (in particular, subsetting documents keeps the full feature space, which
-    is what k-fold splitting relies on).
+    is what k-fold splitting relies on).  The result's arrays are cut from
+    the source's.
     """
     if (keep_docs is None) == (keep_features is None):
         raise ValidationError("specify exactly one of keep_docs / keep_features")
+    a = index.arrays()
+    doc_db, feat_db, domain = index.documents, index.features, index.domain
+    new_docs = np.arange(index.num_documents)
+    new_feats = np.arange(index.num_features)
+    labels = a.labels
     if keep_docs is not None:
         if not keep_docs:
             raise ValidationError("empty document keep set")
         old_ids = sorted(keep_docs)
-        doc_db = ConceptDb([index.documents.name(d) for d in old_ids],
+        doc_db = ConceptDb([doc_db.name(d) for d in old_ids],
                            kind="document", _checked=True)
+        new_docs = _renumbered(old_ids, index.num_documents)
+        labels = a.labels[old_ids]
+    else:
+        if not keep_features:
+            raise ValidationError("empty feature keep set")
+        old_ids = sorted(keep_features)
+        feat_db = ConceptDb([feat_db.name(f) for f in old_ids],
+                            kind="feature", _checked=True)
+        new_feats = _renumbered(old_ids, index.num_features)
+        if domain.local:
+            remap = dict(zip(old_ids, range(len(old_ids))))
+            domain = DomainDb(local=True, valid={
+                c: frozenset(remap[f] for f in fs if f in remap)
+                for c, fs in domain.valid.items()
+            })
+    kept = (new_docs[a.rows] >= 0) & (new_feats[a.features] >= 0)
+    arrays = _csr(len(doc_db), new_docs[a.rows[kept]],
+                  new_feats[a.features[kept]], a.counts[kept],
+                  a.weights[kept], labels)
+    return Index._from_arrays(index.categories, feat_db, doc_db, arrays,
+                              _frozen(index._weighted[kept]), domain)
 
-        def kept_rows(relation):
-            return {new: relation[old] for new, old in enumerate(old_ids)
-                    if old in relation}
-        return Index(index.categories, index.features, doc_db,
-                     kept_rows(index._content), kept_rows(index._doc_cats),
-                     kept_rows(index._weights), index.domain,
-                     _normalized=True)
 
-    if not keep_features:
-        raise ValidationError("empty feature keep set")
-    old_ids = sorted(keep_features)
-    feat_db = ConceptDb([index.features.name(f) for f in old_ids],
-                        kind="feature", _checked=True)
-    remap = {old: new for new, old in enumerate(old_ids)}
-
-    def kept_columns(relation):
-        rows = {}
-        for d, row in relation.items():
-            kept = {remap[f]: v for f, v in row.items() if f in remap}
-            if kept:
-                rows[d] = kept
-        return rows
-    content = kept_columns(index._content)
-    weights = kept_columns(index._weights)
-    domain = index.domain
-    if domain.local:
-        domain = DomainDb(local=True, valid={
-            c: frozenset(remap[f] for f in fs if f in remap)
-            for c, fs in domain.valid.items()
-        })
-    return Index(index.categories, feat_db, index.documents, content,
-                 index._doc_cats, weights, domain, _normalized=True)
+def _renumbered(old_ids, n) -> np.ndarray:
+    """New id of each of n old ids: its rank among the sorted `old_ids`,
+    -1 for an id not kept."""
+    new_ids = np.full(n, -1, dtype=np.int64)
+    new_ids[old_ids] = np.arange(len(old_ids))
+    return new_ids
 
 
 # -- serialization ----------------------------------------------------------
@@ -501,10 +560,6 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
 # once a file has failed to decode.
 
 FORMAT_VERSION = 1
-
-_CONTENT_ROW = np.dtype([("d", np.int64), ("f", np.int64), ("n", np.int64)])
-_WEIGHT_ROW = np.dtype([("d", np.int64), ("f", np.int64), ("w", np.float64)])
-_PAIR_ROW = np.dtype([("a", np.int64), ("b", np.int64)])
 
 
 def index_file_map(index: Index) -> dict:
@@ -522,14 +577,11 @@ def index_file_map(index: Index) -> dict:
         "features.tsv": concepts(index.features),
         "documents.tsv": concepts(index.documents),
         "content.tsv": "".join(f"{d}\t{f}\t{n}\n"
-                               for d, row in index._content.items()
-                               for f, n in row.items()),
-        "classification.tsv": "".join(f"{d}\t{c}\n"
-                                      for d, cs in index._doc_cats.items()
-                                      for c in cs),
+                               for d, f, n in index.content_items()),
+        "classification.tsv": "".join(f"{d}\t{c}\n" for d, c
+                                      in index.classification_items()),
         "weights.tsv": "".join(f"{d}\t{f}\t{w!r}\n"
-                               for d, row in index._weights.items()
-                               for f, w in row.items()),
+                               for d, f, w in index.weight_items()),
     }
     if index.domain.local:
         pairs = sorted((f, c) for c, fs in index.domain.valid.items() for f in fs)
@@ -538,21 +590,30 @@ def index_file_map(index: Index) -> dict:
 
 
 def serialize_index(index: Index, directory) -> None:
+    """Write the index files; a global index also removes the domain.tsv
+    an earlier local index left in `directory`."""
     os.makedirs(directory, exist_ok=True)
-    for name, data in index_file_map(index).items():
+    files = index_file_map(index)
+    for name, data in files.items():
         with open(os.path.join(directory, name), "wb") as fh:
             fh.write(data)
+    if "domain.tsv" not in files:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, "domain.tsv"))
 
 
-class _TsvFile:
-    """The bytes of one index file, and the line numbers of its rows."""
+class _TsvFile(_Rows):
+    """The bytes of one index file, the line numbers of its rows and, given
+    a row type, its rows decoded."""
 
-    def __init__(self, directory, name):
+    def __init__(self, directory, name, row_type=None):
         self.path = os.path.join(directory, name)
         if not os.path.exists(self.path):
             raise ValidationError(f"missing index file {self.path}")
         with open(self.path, "rb") as fh:
             self.data = fh.read()
+        if row_type is not None:
+            self.rows = self.columns(row_type)
 
     def lines(self):
         """(line number, line) of every non-blank line."""
@@ -604,37 +665,6 @@ class _TsvFile:
                                   f"non-numeric field in {line!r}")
         return ParseError(self.path, 0, "unreadable rows")
 
-    def check(self, bad: np.ndarray, message: str) -> None:
-        """A ParseError at the first row where `bad` holds."""
-        if bad.any():
-            raise self.fail(int(np.argmax(bad)), message)
-
-    def check_ids(self, ids: np.ndarray, bound: int, what: str) -> None:
-        self.check((ids < 0) | (ids >= bound), f"unknown {what} id")
-
-    def sorted_rows(self, rows, major, minor, n_minor, what):
-        """Rows sorted by (major, minor) id; a repeated pair is an error at
-        its second row."""
-        keys = rows[major] * n_minor + rows[minor]
-        if np.all(keys[1:] > keys[:-1]):
-            return rows
-        order = np.argsort(keys, kind="stable")
-        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        if repeats.size:
-            raise self.fail(int(repeats.min()), f"duplicate {what} row")
-        return rows[order]
-
-
-def _grouped(groups, *columns):
-    """(group, [column slices]) of rows sorted by group, as Python objects."""
-    cuts = (np.flatnonzero(groups[1:] != groups[:-1]) + 1).tolist()
-    starts, ends = [0, *cuts], [*cuts, len(groups)]
-    lists = [column.tolist() for column in columns]
-    names = groups.tolist()
-    for start, end in zip(starts, ends):
-        if start < end:
-            yield names[start], [values[start:end] for values in lists]
-
 
 def _read_meta(directory) -> dict:
     tsv = _TsvFile(directory, "meta.tsv")
@@ -674,53 +704,21 @@ def deserialize_index(directory) -> Index:
                              meta["features"])
     doc_db = _read_concepts(directory, "documents.tsv", "document",
                             meta["documents"])
-    n_docs, n_feats, n_cats = len(doc_db), len(feat_db), len(cat_db)
-
-    tsv = _TsvFile(directory, "content.tsv")
-    rows = tsv.columns(_CONTENT_ROW)
-    tsv.check_ids(rows["d"], n_docs, "document")
-    tsv.check_ids(rows["f"], n_feats, "feature")
-    tsv.check(rows["n"] <= 0, "non-positive count")
-    rows = tsv.sorted_rows(rows, "d", "f", n_feats, "content")
-    content = {d: dict(zip(fs, ns))
-               for d, (fs, ns) in _grouped(rows["d"], rows["f"], rows["n"])}
-    content_keys = rows["d"] * n_feats + rows["f"]
-
-    tsv = _TsvFile(directory, "weights.tsv")
-    rows = tsv.columns(_WEIGHT_ROW)
-    tsv.check_ids(rows["d"], n_docs, "document")
-    tsv.check_ids(rows["f"], n_feats, "feature")
-    tsv.check(~np.isfinite(rows["w"]), "non-finite weight")
-    keys = rows["d"] * n_feats + rows["f"]
-    known = np.append(content_keys, -1)  # -1 answers keys past the end
-    tsv.check(known[np.searchsorted(content_keys, keys)] != keys,
-              "weight without a content entry")
-    rows = tsv.sorted_rows(rows, "d", "f", n_feats, "weight")
-    # weight rows take their feature ids from the content rows' id objects,
-    # so the two relations share them
-    content_ids = np.array(list(chain.from_iterable(content.values())),
-                           dtype=object)
-    shared = content_ids[np.searchsorted(content_keys,
-                                         rows["d"] * n_feats + rows["f"])]
-    weights = {d: dict(zip(fs, ws))
-               for d, (fs, ws) in _grouped(rows["d"], shared, rows["w"])}
-
-    tsv = _TsvFile(directory, "classification.tsv")
-    rows = tsv.columns(_PAIR_ROW)
-    tsv.check_ids(rows["a"], n_docs, "document")
-    tsv.check_ids(rows["b"], n_cats, "category")
-    rows = tsv.sorted_rows(rows, "a", "b", n_cats, "classification")
-    classification = {d: tuple(cs)
-                      for d, (cs,) in _grouped(rows["a"], rows["b"])}
-
+    arrays, weighted = _stored(
+        len(doc_db), len(feat_db), len(cat_db),
+        _TsvFile(directory, "content.tsv", _CONTENT_ROW),
+        _TsvFile(directory, "weights.tsv", _WEIGHT_ROW),
+        _TsvFile(directory, "classification.tsv", _PAIR_ROW))
     domain = GLOBAL_DOMAIN
     if os.path.exists(os.path.join(directory, "domain.tsv")):
-        tsv = _TsvFile(directory, "domain.tsv")
-        rows = tsv.columns(_PAIR_ROW)
-        tsv.check_ids(rows["a"], n_feats, "feature")
-        tsv.check_ids(rows["b"], n_cats, "category")
-        rows = tsv.sorted_rows(rows, "b", "a", n_feats, "domain")
+        tsv = _TsvFile(directory, "domain.tsv", _PAIR_ROW)
+        rows = tsv.rows
+        tsv.check_ids(rows["a"], len(feat_db), "feature")
+        tsv.check_ids(rows["b"], len(cat_db), "category")
+        rows = tsv.sorted_rows(rows, "b", "a", len(feat_db), "domain")
+        cats, starts = np.unique(rows["b"], return_index=True)
         domain = DomainDb(local=True, valid={
-            c: frozenset(fs) for c, (fs,) in _grouped(rows["b"], rows["a"])})
-    return Index(cat_db, feat_db, doc_db, content, classification, weights,
-                 domain, _normalized=True)
+            c: frozenset(fs.tolist())
+            for c, fs in zip(cats.tolist(), np.split(rows["a"], starts[1:]))})
+    return Index._from_arrays(cat_db, feat_db, doc_db, arrays, weighted,
+                              domain)

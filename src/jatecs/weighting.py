@@ -2,12 +2,17 @@
 
 Both schemes read only the content relation (raw occurrence counts) and
 produce a fresh weighting relation, so re-running a pass is idempotent.
+Each pass works on the index's arrays and computes every weight with the
+same operations, in the same order, as the per-entry formula; logarithms
+are taken with :mod:`math`, since numpy's can differ in the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .index import Index
@@ -35,10 +40,15 @@ def recompute_stats(index: Index, k1: float = DEFAULT_K1,
                     b: float = DEFAULT_B) -> CorpusStats:
     """Exact df and length statistics from the content relation."""
     n = index.num_documents
-    df = {f: index.document_frequency(f) for f in range(index.num_features)}
-    doc_len = {d: sum(index.document_features(d).values()) for d in range(n)}
-    avgdl = (sum(doc_len.values()) / n) if n > 0 else None
-    return CorpusStats(n=n, df=df, doc_len=doc_len, avgdl=avgdl, k1=k1, b=b)
+    view = index.arrays()
+    df = np.bincount(view.features, minlength=index.num_features)
+    # lengths are Python int sums, which cannot overflow
+    counts, bounds = view.counts.tolist(), view.indptr.tolist()
+    doc_len = [sum(counts[i:j]) for i, j in zip(bounds, bounds[1:])]
+    avgdl = (sum(doc_len) / n) if n > 0 else None
+    return CorpusStats(n=n, df=dict(enumerate(df.tolist())),
+                       doc_len=dict(enumerate(doc_len)),
+                       avgdl=avgdl, k1=k1, b=b)
 
 
 def tfidf_normalized(index: Index) -> Index:
@@ -46,17 +56,17 @@ def tfidf_normalized(index: Index) -> Index:
     unit Euclidean length.  Documents whose every term has zero idf keep
     their all-zero weights (there is nothing to normalize)."""
     stats = recompute_stats(index)
-    weights: dict = {}
-    for d in range(index.num_documents):
-        row = {}
-        for f, tf in index.document_features(d).items():
-            idf = math.log(stats.n / stats.df[f])
-            row[f] = tf * idf
-        norm = math.sqrt(sum(w * w for w in row.values()))
-        if norm > 0.0:
-            row = {f: w / norm for f, w in row.items()}
-        weights[d] = row
-    return index.with_weighting(weights)
+    view = index.arrays()
+    # df = 0 only for features no document has, whose idf is never read
+    idf = np.array([math.log(stats.n / df) if df else 0.0
+                    for df in stats.df.values()])
+    weights = view.counts * idf[view.features]
+    # each norm sums its document's squares left to right, as sum() does
+    squares, bounds = (weights * weights).tolist(), view.indptr.tolist()
+    norms = [math.sqrt(sum(squares[i:j])) for i, j in zip(bounds, bounds[1:])]
+    scale = np.repeat(norms, np.diff(view.indptr))
+    np.divide(weights, scale, out=weights, where=scale > 0.0)
+    return index.with_weight_values(weights)
 
 
 def bm25(index: Index, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Index:
@@ -70,17 +80,14 @@ def bm25(index: Index, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Index:
     if not 0 <= b <= 1:
         raise ValidationError("b must be in [0, 1]")
     stats = recompute_stats(index, k1=k1, b=b)
-    weights: dict = {}
-    for d in range(index.num_documents):
-        row = {}
-        dl = stats.doc_len[d]
-        if stats.avgdl:
-            length_norm = k1 * (1.0 - b + b * dl / stats.avgdl)
-        else:
-            length_norm = k1  # degenerate corpus of empty documents
-        for f, tf in index.document_features(d).items():
-            df = stats.df[f]
-            idf = max(0.0, math.log((stats.n - df + 0.5) / (df + 0.5)))
-            row[f] = idf * tf / (tf + length_norm)
-        weights[d] = row
-    return index.with_weighting(weights)
+    view = index.arrays()
+    idf = np.array([max(0.0, math.log((stats.n - df + 0.5) / (df + 0.5)))
+                    for df in stats.df.values()])
+    length_norm = k1
+    if stats.avgdl:  # else every document is empty
+        doc_len = np.array(list(stats.doc_len.values()),
+                           dtype=np.float64)[view.rows]
+        length_norm = k1 * (1.0 - b + b * doc_len / stats.avgdl)
+    tf = view.counts.astype(np.float64)
+    return index.with_weight_values(
+        idf[view.features] * tf / (tf + length_norm))

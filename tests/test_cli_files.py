@@ -1,0 +1,59 @@
+"""What the CLI writes: a pipeline rerun rebuilds its test index, and an
+output path that cannot be written is a data error, not a traceback."""
+
+import os
+import subprocess
+import sys
+
+from jatecs.cli import EXIT_DATA, EXIT_OK, main
+
+TOY_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "jatecs",
+                       "data", "toy")
+TOY_CORPUS = os.path.join(TOY_DIR, "corpus.csv")
+TOY_CATEGORIES = os.path.join(TOY_DIR, "categories.txt")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def _toy_lines():
+    with open(TOY_CORPUS, encoding="utf-8") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def test_pipeline_rebuilds_test_index_on_rerun(tmp_path, capsys):
+    lines = _toy_lines()
+    train, first, second = lines[::3], lines[1::3], lines[2::3][:7]
+    paths = {}
+    for name, rows in (("train", train), ("a", first), ("b", second)):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("".join(rows), encoding="utf-8")
+    out = tmp_path / "out"
+
+    def run(test_corpus):
+        assert main(["pipeline", "--input", str(paths["train"]),
+                     "--categories", TOY_CATEGORIES,
+                     "--test-input", str(test_corpus),
+                     "--stages", "index,tsr,weight,train,classify,eval",
+                     "--k", "50", "--out", str(out)]) == EXIT_OK
+        return capsys.readouterr().out
+
+    run(paths["a"])
+    stdout = run(paths["b"])
+    assert f"classified D={len(second)} " in stdout
+    names = (out / "test-index" / "documents.tsv").read_text(
+        encoding="utf-8").splitlines()
+    assert [row.split("\t")[1] for row in names] == \
+        [row.split("\t")[0] for row in second]
+
+
+def test_unwritable_out_exits_2_without_traceback(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "jatecs.cli", "index", "--input", TOY_CORPUS,
+         "--categories", TOY_CATEGORIES, "--out", str(blocker / "idx")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_DATA
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
