@@ -15,6 +15,7 @@ subcommand writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -720,6 +721,10 @@ def main(argv=None) -> int:
     except (JatecsError, OSError) as exc:  # bad data, failed read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:  # a bug: one line; the traceback at debug level
+        logging.getLogger("jatecs").debug("internal error", exc_info=True)
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .index import Index
 
 #: score emitted for categories that could not be trained (no positives)
@@ -642,4 +642,11 @@ def load_classifier(directory) -> TrainedClassifier:
     if not os.path.exists(path):
         raise ValidationError(f"no model payload at {path}")
     with open(path, "rb") as fh:
-        return pickle.load(fh)
+        try:
+            classifier = pickle.load(fh)
+        except Exception as exc:  # garbage bytes raise any of a dozen types
+            raise ParseError(path, 0, f"not a model file ({exc!r})") from exc
+    if not isinstance(classifier, TrainedClassifier):
+        raise ParseError(path, 0, "not a model file (holds a "
+                         f"{type(classifier).__name__}, not a classifier)")
+    return classifier

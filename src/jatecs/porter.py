@@ -51,12 +51,21 @@ def _ends_cvc(stem: str) -> bool:
             and _is_cons(stem, n - 1) and stem[-1] not in "wxy")
 
 
-def _apply_rules(word: str, rules) -> str:
+def _rule_group(rules) -> tuple:
+    """(all suffixes, rules): the tuple lets one endswith reject a word."""
+    return tuple(suffix for suffix, _, _ in rules), rules
+
+
+def _apply_rules(word: str, group) -> str:
     """Longest-match rule application: rules are (suffix, replacement, cond).
 
-    Tries suffixes in the given order (callers list them longest first); once
-    a suffix matches, its condition decides and no further rule is tried.
+    Tries suffixes in the given order (rule groups list them longest first);
+    once a suffix matches, its condition decides and no further rule is
+    tried.
     """
+    suffixes, rules = group
+    if not word.endswith(suffixes):
+        return word
     for suffix, repl, cond in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -74,7 +83,7 @@ def _m_gt_1(stem):
     return _measure(stem) > 1
 
 
-_STEP2_RULES = [
+_STEP2_RULES = _rule_group([
     ("ational", "ate", _m_gt_0),
     ("ization", "ize", _m_gt_0),
     ("iveness", "ive", _m_gt_0),
@@ -95,9 +104,9 @@ _STEP2_RULES = [
     ("alli", "al", _m_gt_0),
     ("ator", "ate", _m_gt_0),
     ("eli", "e", _m_gt_0),
-]
+])
 
-_STEP3_RULES = [
+_STEP3_RULES = _rule_group([
     ("icate", "ic", _m_gt_0),
     ("ative", "", _m_gt_0),
     ("alize", "al", _m_gt_0),
@@ -105,9 +114,9 @@ _STEP3_RULES = [
     ("ical", "ic", _m_gt_0),
     ("ness", "", _m_gt_0),
     ("ful", "", _m_gt_0),
-]
+])
 
-_STEP4_RULES = [
+_STEP4_RULES = _rule_group([
     ("ement", "", _m_gt_1),
     ("ance", "", _m_gt_1),
     ("ence", "", _m_gt_1),
@@ -127,16 +136,15 @@ _STEP4_RULES = [
     ("er", "", _m_gt_1),
     ("ic", "", _m_gt_1),
     ("ou", "", _m_gt_1),
-]
+])
 
 
-def _step1a(word: str) -> str:
-    return _apply_rules(word, [
-        ("sses", "ss", None),
-        ("ies", "i", None),
-        ("ss", "ss", None),
-        ("s", "", None),
-    ])
+_STEP1A_RULES = _rule_group([
+    ("sses", "ss", None),
+    ("ies", "i", None),
+    ("ss", "ss", None),
+    ("s", "", None),
+])
 
 
 def _step1b(word: str) -> str:
@@ -176,7 +184,7 @@ def _step5a(word: str) -> str:
 
 
 def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_cons(word) and word.endswith("l"):
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 
@@ -186,7 +194,7 @@ def porter_stem(token: str) -> str:
     if len(token) <= 2 or not token.isascii() or not token.isalpha() \
             or not token.islower():
         return token
-    word = _step1a(token)
+    word = _apply_rules(token, _STEP1A_RULES)
     word = _step1b(word)
     word = _step1c(word)
     word = _apply_rules(word, _STEP2_RULES)

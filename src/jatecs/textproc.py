@@ -3,20 +3,29 @@
 All extractors share the same base behavior: XML/HTML entities are decoded,
 text is lowercased, and tokenization splits on Unicode whitespace plus a
 fixed punctuation set.  Tokens left with no letter or digit (e.g. a bare "&")
-are dropped.  Stop word removal runs before stemming.  Extractors are
-stateless pure functions and safe to call concurrently.
+are dropped.  Stop word removal runs before stemming.
+
+Per-token work (the letter/digit test, the stop list and stemming) runs once
+per distinct token of a corpus pass: an `ExtractorConfig` memoizes each
+lowercased raw token's feature text, or None for a dropped token, and hands
+that memo to `extract_bow` / `extract_char_ngrams`.  Called without a memo,
+they memoize within the one text.  Sharing a config across threads stays
+safe: a dict lookup or store is atomic under the GIL, and two threads that
+miss on the same token both compute the same pure value.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .porter import porter_stem
 
 # separators used on top of whitespace; a fixed superset of the usual signs
-PUNCTUATION = set(",.;:!?()[]{}\"'<>")
+PUNCTUATION = frozenset(",.;:!?()[]{}\"'<>")
+_PUNCTUATION_TO_SPACE = str.maketrans(dict.fromkeys(PUNCTUATION, " "))
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 _ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|apos|#x[0-9a-fA-F]+|#[0-9]+);")
@@ -48,33 +57,47 @@ def decode_entities(text: str) -> str:
     return _ENTITY_RE.sub(sub, text)
 
 
+def _raw_tokens(text: str) -> list:
+    # str.split() splits on exactly the characters str.isspace() accepts
+    return decode_entities(text).lower().translate(_PUNCTUATION_TO_SPACE).split()
+
+
+def _has_alnum(token: str) -> bool:
+    return token.isalnum() or any(ch.isalnum() for ch in token)
+
+
 def tokenize(text: str) -> list:
     """Lowercased tokens, split on whitespace and punctuation separators."""
-    text = decode_entities(text).lower()
-    chars = [" " if ch in PUNCTUATION or ch.isspace() else ch for ch in text]
-    tokens = "".join(chars).split()
-    return [t for t in tokens if any(ch.isalnum() for ch in t)]
+    return [t for t in _raw_tokens(text) if _has_alnum(t)]
 
 
 def _aggregate(features) -> list:
-    counts: dict = {}
-    for f in features:
-        counts[f] = counts.get(f, 0) + 1
-    return list(counts.items())
+    return list(Counter(features).items())
 
 
-def _processed_tokens(text, stoplist, stemmer):
-    tokens = tokenize(text)
-    if stoplist is not None:
-        tokens = [t for t in tokens if t not in stoplist]
-    if stemmer == "EnglishPorter":
-        tokens = [porter_stem(t) for t in tokens]
-    return tokens
+def _feature_text(token, stoplist, stemmer):
+    """A raw token's feature text, or None when the token is dropped."""
+    if not _has_alnum(token) or (stoplist is not None and token in stoplist):
+        return None
+    return porter_stem(token) if stemmer == "EnglishPorter" else token
 
 
-def extract_bow(text: str, stoplist=None, stemmer=None) -> list:
-    """Bag of words: [(featureText, count)] in first-seen order."""
-    return _aggregate(_processed_tokens(text, stoplist, stemmer))
+def _processed_tokens(text, stoplist, stemmer, memo):
+    tokens = _raw_tokens(text)
+    if memo is None:
+        memo = {}
+    for token in set(tokens).difference(memo):
+        memo[token] = _feature_text(token, stoplist, stemmer)
+    return [f for f in map(memo.__getitem__, tokens) if f is not None]
+
+
+def extract_bow(text: str, stoplist=None, stemmer=None, *, memo=None) -> list:
+    """Bag of words: [(featureText, count)] in first-seen order.
+
+    `memo` maps raw tokens to feature texts; reuse one only with the same
+    stoplist and stemmer.
+    """
+    return _aggregate(_processed_tokens(text, stoplist, stemmer, memo))
 
 
 def _token_ngrams(token: str, n: int):
@@ -87,17 +110,18 @@ def _token_ngrams(token: str, n: int):
 
 
 def extract_char_ngrams(text: str, n: int, word_bounded: bool = True,
-                        stoplist=None, stemmer=None) -> list:
+                        stoplist=None, stemmer=None, *, memo=None) -> list:
     """Character n-grams, within tokens or continuously across the string.
 
     Continuous mode slides over the lowercased raw string with whitespace
     runs collapsed to single spaces; stop word removal and stemming only
-    apply in word-bounded mode (there are no tokens otherwise).
+    apply in word-bounded mode (there are no tokens otherwise).  `memo` is
+    as in `extract_bow`.
     """
     if n < 1:
         raise ValueError("n-gram size must be >= 1")
     if word_bounded:
-        grams = (g for token in _processed_tokens(text, stoplist, stemmer)
+        grams = (g for token in _processed_tokens(text, stoplist, stemmer, memo)
                  for g in _token_ngrams(token, n))
         return _aggregate(grams)
     flat = " ".join(decode_entities(text).lower().split())
@@ -122,6 +146,9 @@ class ExtractorConfig:
     stemmer: str | None = None
     namespacing: bool = True
     children: tuple = field(default_factory=tuple)
+    # raw token -> feature text or None, filled by extract (see module doc)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in ("BOW", "CharNGram", "Set"):
@@ -131,10 +158,12 @@ class ExtractorConfig:
 
     def extract(self, text: str) -> list:
         if self.kind == "BOW":
-            return extract_bow(text, self.stoplist, self.stemmer)
+            return extract_bow(text, self.stoplist, self.stemmer,
+                               memo=self._memo)
         if self.kind == "CharNGram":
             return extract_char_ngrams(text, self.ngram_size, self.word_bounded,
-                                       self.stoplist, self.stemmer)
+                                       self.stoplist, self.stemmer,
+                                       memo=self._memo)
         return extract_set(text, self.children, self.namespacing)
 
 

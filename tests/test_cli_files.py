@@ -1,11 +1,19 @@
-"""What the CLI writes: a pipeline rerun rebuilds its test index, and an
-output path that cannot be written is a data error, not a traceback."""
+"""What the CLI writes: a pipeline rerun rebuilds its test index; an output
+path that cannot be written and a model file that does not unpickle to a
+classifier are data errors, and any other failure an internal error, each
+one line and not a traceback."""
 
 import os
+import pickle
 import subprocess
 import sys
 
-from jatecs.cli import EXIT_DATA, EXIT_OK, main
+import pytest
+
+from jatecs import cli
+from jatecs.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
+from jatecs.errors import ParseError
+from jatecs.learners import load_classifier
 
 TOY_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "jatecs",
                        "data", "toy")
@@ -57,3 +65,46 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1
+
+
+def test_garbage_model_exits_2_without_traceback(tmp_path):
+    index_dir = tmp_path / "idx"
+    assert main(["index", "--input", TOY_CORPUS, "--categories",
+                 TOY_CATEGORIES, "--out", str(index_dir)]) == EXIT_OK
+    model_dir = tmp_path / "m"
+    model_dir.mkdir()
+    (model_dir / "model.pkl").write_bytes(b"garbage")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "jatecs.cli", "classify", "--model",
+         str(model_dir), "--index", str(index_dir),
+         "--out", str(tmp_path / "pred.tsv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_DATA
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+    assert "model.pkl:0: not a model file" in done.stderr
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x80\x05garbage",
+                                     pickle.dumps({"kind": "NaiveBayes"}),
+                                     pickle.dumps(None)],
+                         ids=["empty", "truncated", "dict", "none"])
+def test_model_file_without_classifier_is_parse_error(tmp_path, payload):
+    (tmp_path / "model.pkl").write_bytes(payload)
+    with pytest.raises(ParseError, match=r"model\.pkl:0: not a model file"):
+        load_classifier(str(tmp_path))
+
+
+def test_unexpected_exception_is_one_internal_error_line(tmp_path, monkeypatch,
+                                                        capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage blew up\nsecond line")
+
+    monkeypatch.setattr(cli, "documents_to_index", broken)
+    code = main(["pipeline", "--input", TOY_CORPUS,
+                 "--categories", TOY_CATEGORIES, "--out", str(tmp_path)])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError('stage blew up\\nsecond line')\n"
