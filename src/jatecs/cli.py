@@ -20,7 +20,8 @@ import os
 import sys
 
 from . import weighting
-from .corpus import read_category_file, read_corpus, documents_to_index
+from .corpus import (documents_to_index, numbered_lines, read_category_file,
+                     read_corpus)
 from .errors import InternalError, JatecsError, ParseError, ValidationError
 from .evaluation import compare, measures, micro_macro
 from .experiments import grid_search, kfold_evaluate, make_folds
@@ -75,7 +76,7 @@ def _separator(value: str) -> str:
 _COMMON = [
     ("config", str, None, None, "config file of key=value lines"),
     ("threads", int, 0, None,
-     "worker threads (0 = all cores); env JATECS_THREADS overrides"),
+     "accepted for compatibility, no effect; env JATECS_THREADS overrides"),
 ]
 
 _READER_OPTS = [
@@ -278,14 +279,12 @@ def _convert(key, kind, choices, value):
 
 
 def _threads(opts) -> int:
+    """JATECS_THREADS if set, else --threads; validated but without effect."""
     env = os.environ.get("JATECS_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"bad JATECS_THREADS value {env!r}") from None
-    n = opts.get("threads") or 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    try:
+        return int(env) if env is not None else opts.get("threads") or 0
+    except ValueError:
+        raise CliError(f"bad JATECS_THREADS value {env!r}") from None
 
 
 def _require_file(path) -> str:
@@ -337,8 +336,8 @@ def _write_tsv(path, rows) -> None:
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write("\t".join(str(x) for x in row) + "\n")
+        fh.write("".join("\t".join(str(x) for x in row) + "\n"
+                         for row in rows))
 
 
 def _build_index_from_opts(opts, input_path):
@@ -379,16 +378,12 @@ def weight_index(index, scheme: str, k1: float, b: float):
 
 
 def classify_index(classifier, index) -> tuple:
-    """Classify stage: the decided {dID: [cID]} map and the score rows."""
-    predictions: dict = {}
-    score_rows = []
-    for d in range(index.num_documents):
-        scores = classifier.score_document(index, d)
-        for c, score in enumerate(scores):
-            score_rows.append((d, c, repr(score)))
-            if classifier.decide(c, score):
-                predictions.setdefault(d, []).append(c)
-    return predictions, score_rows
+    """Classify stage: the decided {dID: [cID]} map and the D x C scores."""
+    scores = classifier.score_index(index)
+    decided = classifier.decisions(scores).tolist()
+    predictions = {d: [c for c, yes in enumerate(row) if yes]
+                   for d, row in enumerate(decided) if any(row)}
+    return predictions, scores
 
 
 def evaluate_predictions(predictions: dict, gold_index):
@@ -431,10 +426,12 @@ def _train_stage(opts, index):
 
 
 def _classify_stage(opts, classifier, index) -> dict:
-    predictions, score_rows = classify_index(classifier, index)
+    predictions, scores = classify_index(classifier, index)
     _write_tsv(opts["out"], ((d, c) for d, cs in predictions.items()
                              for c in cs))
-    _write_tsv(_scores_path(opts["out"]), score_rows)
+    _write_tsv(_scores_path(opts["out"]), (
+        (d, c, repr(score)) for d, row in enumerate(scores.tolist())
+        for c, score in enumerate(row)))
     print(f"classified D={index.num_documents} -> {opts['out']}")
     return predictions
 
@@ -459,15 +456,11 @@ def _quantify_stage(opts, train_index, test_index) -> None:
     truth = true_prevalences(test_index)
     report = evaluate_quantification(estimates, truth,
                                      test_index.num_documents)
-    rows = []
-    for c in sorted(truth):
-        label = test_index.categories.name(c)
-        for name in QUANTIFIERS:
-            est = estimates.of(name, c)
-            row = next(r for r in report.rows if r[0] == name and r[1] == c)
-            rows.append((label, name, repr(est), repr(truth[c]),
-                         repr(row[4]), repr(row[5]), repr(row[6])))
-    _write_tsv(opts["out"], rows)
+    # (estimate, true, AE, RAE, KLD) per (quantifier, category)
+    errors = {(row[0], row[1]): row[2:] for row in report.rows}
+    _write_tsv(opts["out"], [
+        (test_index.categories.name(c), name, *map(repr, errors[name, c]))
+        for c in sorted(truth) for name in QUANTIFIERS])
     for name in QUANTIFIERS:
         print(f"{name}: mean AE = {report.means[name]['AE']:.4f}")
 
@@ -529,19 +522,17 @@ def cmd_classify(opts) -> int:
 
 def _read_predictions(path) -> dict:
     predictions: dict = {}
-    with open(_require_file(path), "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, "expected dID<TAB>cID")
-            try:
-                d, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(path, line_no, "non-integer id") from None
-            predictions.setdefault(d, []).append(c)
+    for line_no, line in numbered_lines(_require_file(path), newline=None):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, "expected dID<TAB>cID")
+        try:
+            d, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, line_no, "non-integer id") from None
+        predictions.setdefault(d, []).append(c)
     return predictions
 
 

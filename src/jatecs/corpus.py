@@ -3,12 +3,14 @@
 All readers are deterministic, never reorder documents, and raise
 :class:`~jatecs.errors.ParseError` (which carries the line number) on bad
 input.  Files are UTF-8; CR-LF is tolerated on read, LF is emitted on write.
+A byte sequence that is not UTF-8 is a ParseError on its line.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -16,6 +18,20 @@ from .index import Index, build_index
 
 TRAINING = "Training"
 TEST = "Test"
+
+# the surrogateescape handler decodes an undecodable byte to U+DC80-U+DCFF
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def numbered_lines(path, newline=""):
+    """(line number, line without its terminator) of a UTF-8 text file; an
+    undecodable byte is a ParseError on its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape",
+              newline=newline) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and _UNDECODABLE.search(line):
+                raise ParseError(path, line_no, "not UTF-8")
+            yield line_no, line.rstrip("\r\n")
 
 
 @dataclass(frozen=True)
@@ -46,15 +62,14 @@ def read_category_file(path) -> list:
     """One category label per non-empty line; `#`-prefixed lines are skipped."""
     labels = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n").strip()
-            if not line or line.startswith("#"):
-                continue
-            if line in seen:
-                raise ParseError(path, line_no, f"duplicate label {line!r}")
-            seen.add(line)
-            labels.append(line)
+    for line_no, line in numbered_lines(path, newline=None):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line in seen:
+            raise ParseError(path, line_no, f"duplicate label {line!r}")
+        seen.add(line)
+        labels.append(line)
     if not labels:
         raise ParseError(path, 0, "no category labels in file")
     return labels
@@ -118,14 +133,12 @@ def read_libsvm(path, categories=None) -> list:
     line starting with whitespace has no labels.  `#` starts a comment.
     """
     instances = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\r\n")
-            if raw == "":
-                continue
-            inst = _parse_libsvm_line(path, line_no, raw, categories)
-            if inst is not None:
-                instances.append(inst)
+    for line_no, raw in numbered_lines(path):
+        if raw == "":
+            continue
+        inst = _parse_libsvm_line(path, line_no, raw, categories)
+        if inst is not None:
+            instances.append(inst)
     return instances
 
 
@@ -159,25 +172,23 @@ def read_csv(path, separator="\t", categories=None, set_type=TRAINING) -> list:
     if len(separator) != 1:
         raise ValidationError("CSV separator must be a single character")
     docs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if line == "":
-                continue
-            parts = line.split(separator, 2)
-            if len(parts) < 3:
-                raise ParseError(path, line_no, "missing text field "
-                                 f"(expected 3 {separator!r}-separated fields)")
-            name, label_field, text = parts
-            if not name:
-                raise ParseError(path, line_no, "empty document name")
-            labels = tuple(t for t in label_field.split(",") if t)
-            if categories is not None:
-                for lab in labels:
-                    if lab not in categories:
-                        raise ParseError(path, line_no, f"unknown label {lab!r}")
-            docs.append(RawDocument(name=name, text=text, labels=labels,
-                                    set_type=set_type))
+    for line_no, line in numbered_lines(path):
+        if line == "":
+            continue
+        parts = line.split(separator, 2)
+        if len(parts) < 3:
+            raise ParseError(path, line_no, "missing text field "
+                             f"(expected 3 {separator!r}-separated fields)")
+        name, label_field, text = parts
+        if not name:
+            raise ParseError(path, line_no, "empty document name")
+        labels = tuple(t for t in label_field.split(",") if t)
+        if categories is not None:
+            for lab in labels:
+                if lab not in categories:
+                    raise ParseError(path, line_no, f"unknown label {lab!r}")
+        docs.append(RawDocument(name=name, text=text, labels=labels,
+                                set_type=set_type))
     return docs
 
 
@@ -318,63 +329,62 @@ def read_arff(path):
     in_data = False
     class_idx: int | None = None
     ordinal = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n").strip()
-            if not line or line.startswith("%"):
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("%"):
+            continue
+        lower = line.lower()
+        if not in_data:
+            if lower.startswith("@relation"):
                 continue
-            lower = line.lower()
-            if not in_data:
-                if lower.startswith("@relation"):
-                    continue
-                if lower.startswith("@attribute"):
-                    attributes.append(
-                        _parse_attribute(path, line_no, line[len("@attribute"):]))
-                    continue
-                if lower == "@data":
-                    if not attributes:
-                        raise ParseError(path, line_no, "@data before any @attribute")
-                    class_idx = _class_attribute_index(attributes)
-                    in_data = True
-                    continue
-                raise ParseError(path, line_no, f"unexpected header line {line!r}")
-            if line.startswith("{"):
-                if not line.endswith("}"):
-                    raise ParseError(path, line_no, "unterminated sparse row")
-                body = line[1:-1].strip()
-                values: dict = {}
-                if body:
-                    for cell in _split_quoted(body, ","):
-                        cell = cell.strip()
-                        split = cell.split(None, 1)
-                        if len(split) != 2:
-                            raise ParseError(path, line_no,
-                                             f"malformed sparse entry {cell!r}")
-                        try:
-                            idx = int(split[0])
-                        except ValueError:
-                            raise ParseError(path, line_no,
-                                             f"unparsable sparse index {split[0]!r}"
-                                             ) from None
-                        if not 0 <= idx < len(attributes):
-                            raise ParseError(path, line_no,
-                                             f"sparse index {idx} out of range")
-                        if idx in values:
-                            raise ParseError(path, line_no,
-                                             f"duplicate sparse index {idx}")
-                        values[idx] = split[1]
-                else:
-                    values = {}
+            if lower.startswith("@attribute"):
+                attributes.append(
+                    _parse_attribute(path, line_no, line[len("@attribute"):]))
+                continue
+            if lower == "@data":
+                if not attributes:
+                    raise ParseError(path, line_no, "@data before any @attribute")
+                class_idx = _class_attribute_index(attributes)
+                in_data = True
+                continue
+            raise ParseError(path, line_no, f"unexpected header line {line!r}")
+        if line.startswith("{"):
+            if not line.endswith("}"):
+                raise ParseError(path, line_no, "unterminated sparse row")
+            body = line[1:-1].strip()
+            values: dict = {}
+            if body:
+                for cell in _split_quoted(body, ","):
+                    cell = cell.strip()
+                    split = cell.split(None, 1)
+                    if len(split) != 2:
+                        raise ParseError(path, line_no,
+                                         f"malformed sparse entry {cell!r}")
+                    try:
+                        idx = int(split[0])
+                    except ValueError:
+                        raise ParseError(path, line_no,
+                                         f"unparsable sparse index {split[0]!r}"
+                                         ) from None
+                    if not 0 <= idx < len(attributes):
+                        raise ParseError(path, line_no,
+                                         f"sparse index {idx} out of range")
+                    if idx in values:
+                        raise ParseError(path, line_no,
+                                         f"duplicate sparse index {idx}")
+                    values[idx] = split[1]
             else:
-                cells = _split_quoted(line, ",")
-                if len(cells) != len(attributes):
-                    raise ParseError(path, line_no,
-                                     f"data row arity mismatch: {len(cells)} values "
-                                     f"for {len(attributes)} attributes")
-                values = dict(enumerate(cells))
-            docs.append(_row_to_document(path, line_no, attributes, class_idx,
-                                         values, ordinal))
-            ordinal += 1
+                values = {}
+        else:
+            cells = _split_quoted(line, ",")
+            if len(cells) != len(attributes):
+                raise ParseError(path, line_no,
+                                 f"data row arity mismatch: {len(cells)} values "
+                                 f"for {len(attributes)} attributes")
+            values = dict(enumerate(cells))
+        docs.append(_row_to_document(path, line_no, attributes, class_idx,
+                                     values, ordinal))
+        ordinal += 1
     if not in_data:
         raise ParseError(path, 0, "no @data section")
     return attributes, docs
@@ -412,21 +422,17 @@ def documents_to_index(documents, categories, extractor=None) -> Index:
 
 def read_corpus(reader, path, categories, separator="\t") -> list:
     """Dispatch on reader name: libsvm, csv or arff."""
+    if reader not in ("libsvm", "csv", "arff"):
+        raise ValidationError(f"unknown reader {reader!r}")
+    if not os.path.exists(path):
+        raise ParseError(path, 0, "input file not found")
     if reader == "libsvm":
-        if not os.path.exists(path):
-            raise ParseError(path, 0, "input file not found")
         return instances_to_documents(read_libsvm(path, categories))
     if reader == "csv":
-        if not os.path.exists(path):
-            raise ParseError(path, 0, "input file not found")
         return read_csv(path, separator=separator, categories=categories)
-    if reader == "arff":
-        if not os.path.exists(path):
-            raise ParseError(path, 0, "input file not found")
-        _, docs = read_arff(path)
-        for doc in docs:
-            for lab in doc.labels:
-                if lab not in categories:
-                    raise ParseError(path, 0, f"unknown label {lab!r}")
-        return docs
-    raise ValidationError(f"unknown reader {reader!r}")
+    _, docs = read_arff(path)
+    for doc in docs:
+        for lab in doc.labels:
+            if lab not in categories:
+                raise ParseError(path, 0, f"unknown label {lab!r}")
+    return docs

@@ -2,15 +2,15 @@
 
 Fold assignment is driven by the deterministic seeded generator, so plans,
 evaluations and grid searches are exactly reproducible.  Folds and grid
-points are independent jobs; results are reduced in (point, fold) order no
-matter how they are scheduled.
+points run one after another and are reduced in (point, fold) order.  The
+`threads` keyword is accepted and ignored: the work is GIL-bound, and a
+thread pool over it never ran faster than one thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -87,15 +87,6 @@ def make_folds(index: Index, k: int, mode: str = SIMPLE,
     return FoldPlan(k=k, assignment=assignment, mode=mode, seed=seed)
 
 
-def _run_ordered(jobs, threads: int) -> list:
-    """Run zero-arg jobs, returning results in job order regardless of
-    scheduling, so parallel runs reduce deterministically."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [future.result() for future in [pool.submit(j) for j in jobs]]
-
-
 def _evaluate_fold(learner, index, plan, fold):
     test_ids = plan.fold_documents(fold)
     train_ids = [d for d in range(index.num_documents)
@@ -119,11 +110,9 @@ def kfold_evaluate(learner, index: Index, plan: FoldPlan,
     """Train on each fold complement, classify the fold, sum the tables."""
     if set(plan.assignment) != set(range(index.num_documents)):
         raise ValidationError("fold plan does not cover this index")
-    jobs = [(lambda fold=fold: _evaluate_fold(learner, index, plan, fold))
-            for fold in range(plan.k)]
     total = ContingencyTableSet({})
-    for table_set in _run_ordered(jobs, threads):
-        total = total + table_set
+    for fold in range(plan.k):
+        total = total + _evaluate_fold(learner, index, plan, fold)
     return total
 
 
@@ -143,15 +132,7 @@ def grid_search(learner_kind: str, grid: dict, index: Index, plan: FoldPlan,
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(grid[name] for name in names))]
     learners = [make_learner(learner_kind, **params) for params in points]
-
-    def job(learner):
-        return micro_macro(kfold_evaluate(learner, index, plan))[key]
-
-    scores = _run_ordered([(lambda ln=ln: job(ln)) for ln in learners], threads)
-    score_table = list(zip(points, scores))
-    best_params = None
-    best_score = None
-    for params, score in score_table:
-        if best_score is None or score > best_score:
-            best_params, best_score = params, score
+    score_table = [(params, micro_macro(kfold_evaluate(ln, index, plan))[key])
+                   for params, ln in zip(points, learners)]
+    best_params, _ = max(score_table, key=lambda point: point[1])
     return best_params, score_table

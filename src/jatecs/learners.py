@@ -7,17 +7,18 @@ learner consumes binary feature presence.
 
 Training and scoring read the index's array view (:meth:`Index.arrays`): a
 document-major CSR of the content and weighting relations plus a D x C label
-matrix.  With nnz the training nonzeros and n those of a scored document:
+matrix.  With nnz the training nonzeros and n those of the scored documents:
 
   NB       one bincount over the (nonzero, label) pairs gives the class
-           counts of every category; a document score is a C x n product
-  Rocchio  one weighted bincount over the nonzeros per category; a document
-           score is a C x n product
+           counts of every category; scoring adds n terms per category
+  Rocchio  one weighted bincount over the nonzeros per category; scoring
+           adds n profile products per category
   kNN      training keeps the view; a query is one sparse product against
            every training document, O(nnz), then a partition for the k
            nearest
   boost    a round is two weighted bincounts over the nonzeros (W+ and W- of
-           every feature) and an argmin of Z over the features
+           every feature) and an argmin of Z over the features; scoring
+           adds the rounds in order over a row x stump feature presence
 
 Sums behind a score run left to right in ascending id, the order of a scalar
 loop, so interleaved zeros leave them unchanged and ties go to the lower id.
@@ -138,11 +139,13 @@ class ClassificationResult:
 class TrainedClassifier:
     """Base classifier: per-category scoring plus threshold decisions.
 
-    A subclass overrides :meth:`score_document` or
+    A learner implements ``_kernel``, the scores of the rows `_block`
+    returns.  A subclass without one overrides :meth:`score_document` or
     :meth:`score_document_category`; each defaults to the other.
     """
 
     kind = "?"
+    _kernel = None
 
     def __init__(self, category_labels, thresholds, num_features,
                  masks=None, strict=False, warnings=()):
@@ -158,26 +161,42 @@ class TrainedClassifier:
     def num_categories(self) -> int:
         return len(self.category_labels)
 
-    def decide(self, c_id: int, score: float) -> bool:
-        if self.strict:
-            return score > self.thresholds[c_id]
-        return score >= self.thresholds[c_id]
+    def decisions(self, scores: np.ndarray) -> np.ndarray:
+        """Threshold decisions of a score row or D x C score matrix:
+        score >= the category's threshold, or > when strict."""
+        return (np.greater if self.strict else np.greater_equal)(
+            scores, self.thresholds)
+
+    def score_index(self, index: Index) -> np.ndarray:
+        """D x C float64 scores of every document of `index`; row d equals
+        score_document(index, d) bit for bit."""
+        n_docs = index.num_documents
+        if self._kernel is not None:
+            return self._kernel(*self._block(index, 0, n_docs))
+        rows = [self.score_document(index, d) for d in range(n_docs)]
+        return np.array(rows, dtype=np.float64).reshape(n_docs,
+                                                        self.num_categories)
 
     def score_document_category(self, index: Index, d_id: int, c_id: int) -> float:
         return self.score_document(index, d_id)[c_id]
 
     def score_document(self, index: Index, d_id: int) -> list:
-        return [self.score_document_category(index, d_id, c)
-                for c in range(self.num_categories)]
-
-    def _row(self, index: Index, d_id: int):
-        """The index's view and the slice of a document's nonzeros whose
-        features lie in the trained vocabulary."""
+        """Scores of one document against every category."""
         index.documents.name(d_id)
+        if self._kernel is None:
+            return [self.score_document_category(index, d_id, c)
+                    for c in range(self.num_categories)]
+        return self._kernel(*self._block(index, d_id, d_id + 1))[0].tolist()
+
+    def _block(self, index: Index, first: int, stop: int) -> tuple:
+        """(row count, row from 0, feature, count, weight) of the nonzeros of
+        documents first..stop-1 in the trained vocabulary, in CSR order."""
         view = index.arrays()
-        lo, hi = view.indptr[d_id], view.indptr[d_id + 1]
-        hi = lo + np.searchsorted(view.features[lo:hi], self.num_features)
-        return view, slice(lo, hi)
+        nz = slice(view.indptr[first], view.indptr[stop])
+        keep = view.features[nz] < self.num_features
+        return (stop - first, view.rows[nz][keep] - first,
+                view.features[nz][keep], view.counts[nz][keep],
+                view.weights[nz][keep])
 
 
 def _seq_sum(values: np.ndarray) -> np.ndarray:
@@ -185,6 +204,14 @@ def _seq_sum(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1])
     return np.cumsum(values, axis=-1)[..., -1]
+
+
+def _row_sums(rows, terms, n_rows: int, start=-0.0) -> np.ndarray:
+    """Per row, `start` plus its terms left to right in input order; with
+    -0.0, the identity of addition, a nonempty row sums as _seq_sum does."""
+    sums = np.full(n_rows, start)
+    np.add.at(sums, rows, terms)
+    return sums
 
 
 def _feature_masks(index: Index):
@@ -216,12 +243,13 @@ class NaiveBayesClassifier(TrainedClassifier):
         self.deltas = deltas      # C x F log-likelihood ratio per occurrence
         self.fixed = fixed        # per category None, or the constant score
 
-    def score_document(self, index, d_id):
-        view, nz = self._row(index, d_id)
-        terms = view.counts[nz] * self.deltas[:, view.features[nz]]
-        scores = _seq_sum(np.column_stack([self.log_odds, terms])).tolist()
-        return [s if fixed is None else fixed
-                for s, fixed in zip(scores, self.fixed)]
+    def _kernel(self, n, rows, ids, counts, weights):
+        # each row's sum starts from the prior log-odds
+        return np.stack([
+            np.full(n, fixed) if fixed is not None
+            else _row_sums(rows, counts * delta[ids], n, start=prior)
+            for prior, delta, fixed in zip(self.log_odds, self.deltas,
+                                           self.fixed)], axis=1)
 
 
 def _log_counts(counts: np.ndarray) -> np.ndarray:
@@ -272,8 +300,9 @@ def _train_naive_bayes(learner, index: Index):
         fixed.append(None)
         log_odds[c] = math.log(n_pos / n_docs) - \
             math.log((n_docs - n_pos) / n_docs)
-        den_pos[c] = math.log(int(pos_totals[c]) + int(vocab[c]))
-        den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
+        if vocab[c]:  # without features there is no delta to normalize
+            den_pos[c] = math.log(int(pos_totals[c]) + int(vocab[c]))
+            den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
     deltas = ((_log_counts(pos) - den_pos[:, None])
               - (_log_counts(neg) - den_neg[:, None]))
     if masks is not None:
@@ -304,22 +333,20 @@ class RocchioClassifier(TrainedClassifier):
                 if trained else None
                 for row, trained in zip(self.profile_matrix, self.trained)]
 
-    def score_document(self, index, d_id):
-        view, nz = self._row(index, d_id)
-        ids, w = view.features[nz], view.weights[nz]
-        dots = _seq_sum(self.profile_matrix[:, ids] * w).tolist()
+    def _kernel(self, n, rows, ids, counts, weights):
+        squares = weights * weights
+        dots = np.stack([_row_sums(rows, profile[ids] * weights, n)
+                         for profile in self.profile_matrix], axis=1)
         if self.masks is None:
-            v_norms = [math.sqrt(_seq_sum(w * w))] * self.num_categories
+            v_norms = np.sqrt(_row_sums(rows, squares, n))[:, None]
         else:
-            v_norms = np.sqrt(_seq_sum(self.masks[:, ids] * (w * w))).tolist()
-        scores = []
-        for c, trained in enumerate(self.trained):
-            if not trained:
-                scores.append(MIN_SCORE)
-            elif self.norms[c] == 0.0 or v_norms[c] == 0.0:
-                scores.append(0.0)
-            else:
-                scores.append(dots[c] / (self.norms[c] * v_norms[c]))
+            v_norms = np.sqrt(np.stack([_row_sums(rows, mask[ids] * squares, n)
+                                        for mask in self.masks], axis=1))
+        norms = np.asarray(self.norms)
+        scores = np.zeros(dots.shape)
+        np.divide(dots, norms * v_norms, out=scores,
+                  where=(norms != 0.0) & (v_norms != 0.0))
+        scores[:, ~np.asarray(self.trained)] = MIN_SCORE
         return scores
 
 
@@ -371,9 +398,14 @@ class KnnClassifier(TrainedClassifier):
         self.norms = norms  # per training doc; C x D_train with masks
         self.k = k
 
-    def score_document(self, index, d_id):
-        view, nz = self._row(index, d_id)
-        ids, w = view.features[nz], view.weights[nz]
+    def _kernel(self, n, rows, ids, counts, weights):
+        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        return np.array([self._query(ids[lo:hi], weights[lo:hi])
+                         for lo, hi in zip(bounds, bounds[1:])],
+                        dtype=np.float64).reshape(n, self.num_categories)
+
+    def _query(self, ids, w) -> list:
+        """Scores of one document's (feature ids, weights) per category."""
         if self.masks is None:
             return self._votes(*self._neighbors(ids, w, self.norms))
         return [self._votes(*self._neighbors(ids, w * self.masks[c, ids],
@@ -451,15 +483,20 @@ class BoostClassifier(TrainedClassifier):
         self._c0 = stumps[:, :, 1]
         self._c1 = stumps[:, :, 2]
 
-    def score_document(self, index, d_id):
-        view, nz = self._row(index, d_id)
-        present = np.zeros(self.num_features, dtype=bool)
-        present[view.features[nz]] = True
-        sums = _seq_sum(np.where(present[self._stump_features],
-                                 self._c1, self._c0))
-        scores = [MIN_SCORE] * self.num_categories
-        for c, score in zip(self._trained, sums.tolist()):
-            scores[c] = score
+    def _kernel(self, n, rows, ids, counts, weights):
+        # row x distinct stump feature presence
+        distinct, column = np.unique(self._stump_features, return_inverse=True)
+        column = column.reshape(self._stump_features.shape)
+        hit = np.isin(ids, distinct)
+        present = np.zeros((n, len(distinct)), dtype=bool)
+        present[rows[hit], np.searchsorted(distinct, ids[hit])] = True
+        sums = np.where(present[:, column[:, 0]], self._c1[:, 0],
+                        self._c0[:, 0])
+        for t in range(1, self.iterations):  # rounds added in order
+            sums += np.where(present[:, column[:, t]], self._c1[:, t],
+                             self._c0[:, t])
+        scores = np.full((n, self.num_categories), MIN_SCORE)
+        scores[:, self._trained] = sums
         return scores
 
 
@@ -576,11 +613,10 @@ def train(learner, index: Index) -> TrainedClassifier:
 def classify_document(classifier: TrainedClassifier, index: Index,
                       d_id: int) -> ClassificationResult:
     """Scores and decisions for one document against every category."""
-    index.documents.name(d_id)
     scores = classifier.score_document(index, d_id)
-    return ClassificationResult(
-        scores={c: s for c, s in enumerate(scores)},
-        decisions={c: classifier.decide(c, s) for c, s in enumerate(scores)})
+    decided = classifier.decisions(np.array(scores, dtype=np.float64))
+    return ClassificationResult(scores=dict(enumerate(scores)),
+                                decisions=dict(enumerate(decided.tolist())))
 
 
 def classify_category(classifier: TrainedClassifier, index: Index,
@@ -588,34 +624,24 @@ def classify_category(classifier: TrainedClassifier, index: Index,
     """One single-category result per document, in ascending document id."""
     if not 0 <= c_id < classifier.num_categories:
         raise ValidationError(f"unknown category id {c_id}")
-    results = []
-    for d in range(index.num_documents):
-        score = classifier.score_document_category(index, d, c_id)
-        results.append(ClassificationResult(
-            scores={c_id: score},
-            decisions={c_id: classifier.decide(c_id, score)}))
-    return results
+    scores = classifier.score_index(index)
+    decided = classifier.decisions(scores)[:, c_id].tolist()
+    return [ClassificationResult(scores={c_id: score},
+                                 decisions={c_id: decision})
+            for score, decision in zip(scores[:, c_id].tolist(), decided)]
 
 
 def one_vs_all_predict(classifier: TrainedClassifier, index: Index,
                        d_id: int) -> int:
     """Single-label prediction: argmax score, ties to the lower category id."""
-    scores = classifier.score_document(index, d_id)
-    best = 0
-    for c in range(1, len(scores)):
-        if scores[c] > scores[best]:
-            best = c
-    return best
+    return int(np.argmax(classifier.score_document(index, d_id)))
 
 
 def predict_classification(classifier: TrainedClassifier, index: Index) -> dict:
     """Decided (document -> sorted category tuple) map over a whole index."""
-    out = {}
-    for d in range(index.num_documents):
-        result = classify_document(classifier, index, d)
-        out[d] = tuple(c for c in range(classifier.num_categories)
-                       if result.decisions[c])
-    return out
+    decided = classifier.decisions(classifier.score_index(index))
+    return {d: tuple(np.flatnonzero(row).tolist())
+            for d, row in enumerate(decided)}
 
 
 # -- model persistence -----------------------------------------------------------------

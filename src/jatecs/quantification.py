@@ -140,45 +140,44 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
         log.warning("%s", message)
     plan = make_folds(train_index, folds, mode=mode, seed=0)
 
-    n_cats = train_index.num_categories
-    oof_scores = [[0.0] * n_docs for _ in range(n_cats)]
-    oof_decisions = [[False] * n_docs for _ in range(n_cats)]
+    # out-of-fold D x C scores and decisions
+    oof_scores = np.zeros((n_docs, train_index.num_categories))
+    oof_decisions = np.zeros(oof_scores.shape, dtype=bool)
     for fold in range(plan.k):
         test_ids = plan.fold_documents(fold)
         train_ids = set(range(n_docs)) - set(test_ids)
         fold_classifier = train(learner, subset_index(train_index,
                                                       keep_docs=train_ids))
         fold_index = subset_index(train_index, keep_docs=set(test_ids))
-        for local_d, d in enumerate(test_ids):
-            scores = fold_classifier.score_document(fold_index, local_d)
-            for c in range(n_cats):
-                oof_scores[c][d] = scores[c]
-                oof_decisions[c][d] = fold_classifier.decide(c, scores[c])
+        scores = fold_classifier.score_index(fold_index)
+        oof_scores[test_ids] = scores
+        oof_decisions[test_ids] = fold_classifier.decisions(scores)
 
     rates = {}
-    for c in range(n_cats):
-        members = train_index.category_documents(c)
-        labels = [d in members for d in range(n_docs)]
-        n_pos = sum(labels)
-        n_neg = n_docs - n_pos
-        scaled = [scale_score(scaling, s) for s in oof_scores[c]]
-        tpr = (sum(1 for d in range(n_docs) if labels[d] and oof_decisions[c][d])
-               / n_pos if n_pos else 0.0)
-        fpr = (sum(1 for d in range(n_docs) if not labels[d] and oof_decisions[c][d])
-               / n_neg if n_neg else 0.0)
-        tpr_p = (sum(s for s, y in zip(scaled, labels) if y) / n_pos
-                 if n_pos else 0.0)
-        fpr_p = (sum(s for s, y in zip(scaled, labels) if not y) / n_neg
-                 if n_neg else 0.0)
-        rates[c] = RatesEstimate(tpr=tpr, fpr=fpr, tpr_p=tpr_p, fpr_p=fpr_p,
-                                 curve=_rate_curve(oof_scores[c], labels),
-                                 curve_scaled=_rate_curve(scaled, labels))
+    for c, labels in enumerate(train_index.arrays().labels.T.tolist()):
+        scores = oof_scores[:, c].tolist()
+        scaled = [scale_score(scaling, s) for s in scores]
+        decided = oof_decisions[:, c].tolist()
+        rates[c] = RatesEstimate(
+            tpr=_mean_where(decided, labels, True),
+            fpr=_mean_where(decided, labels, False),
+            tpr_p=_mean_where(scaled, labels, True),
+            fpr_p=_mean_where(scaled, labels, False),
+            curve=_rate_curve(scores, labels),
+            curve_scaled=_rate_curve(scaled, labels))
 
     classifier = train(learner, train_index)
     warnings.extend(classifier.warnings)
     return QuantifierPool(classifier=classifier, scaling=scaling, rates=rates,
                           category_labels=train_index.categories.names,
                           warnings=tuple(warnings))
+
+
+def _mean_where(values, labels, label: bool) -> float:
+    """Mean of the values whose label is `label`, summed left to right; 0.0
+    when there are none."""
+    picked = [v for v, y in zip(values, labels) if y == label]
+    return sum(picked) / len(picked) if picked else 0.0
 
 
 def _clip(p: float) -> float:
@@ -200,42 +199,37 @@ def _best_threshold(curve) -> tuple:
     return best
 
 
+def _at_best_threshold(curve, values: np.ndarray, fallback: float) -> float:
+    """The share of values at or above the curve's best threshold, corrected
+    by that point's rates; `fallback`, clipped, when the curve is empty."""
+    point = _best_threshold(curve)
+    if point is None:
+        return _clip(fallback)
+    thr, tpr, fpr = point
+    return _corrected(int(np.count_nonzero(values >= thr)) / len(values),
+                      tpr, fpr)
+
+
 def quantify(pool: QuantifierPool, test: Index) -> PrevalenceEstimate:
     """All six prevalence estimates per category on an unlabeled test index."""
     n_docs = test.num_documents
     if n_docs == 0:
         raise ValidationError("cannot quantify an empty test set")
     estimates: dict = {name: {} for name in QUANTIFIERS}
-    by_document = [pool.classifier.score_document(test, d)
-                   for d in range(n_docs)]
+    scores = pool.classifier.score_index(test)
+    decided = pool.classifier.decisions(scores).sum(axis=0).tolist()
     for c in range(pool.classifier.num_categories):
-        scores = [row[c] for row in by_document]
-        scaled = [scale_score(pool.scaling, s) for s in scores]
-        decided = sum(1 for s in scores if pool.classifier.decide(c, s))
         rates = pool.rates[c]
-
-        cc = decided / n_docs
+        scaled = [scale_score(pool.scaling, s) for s in scores[:, c].tolist()]
+        cc = decided[c] / n_docs
         pcc = sum(scaled) / n_docs
         estimates["CC"][c] = _clip(cc)
         estimates["PCC"][c] = _clip(pcc)
         estimates["ACC"][c] = _corrected(cc, rates.tpr, rates.fpr)
         estimates["PACC"][c] = _corrected(pcc, rates.tpr_p, rates.fpr_p)
-
-        point = _best_threshold(rates.curve)
-        if point is None:
-            estimates["MAX"][c] = _clip(cc)
-        else:
-            thr, tpr, fpr = point
-            observed = sum(1 for s in scores if s >= thr) / n_docs
-            estimates["MAX"][c] = _corrected(observed, tpr, fpr)
-
-        point = _best_threshold(rates.curve_scaled)
-        if point is None:
-            estimates["PMAX"][c] = _clip(pcc)
-        else:
-            thr, tpr, fpr = point
-            observed = sum(1 for s in scaled if s >= thr) / n_docs
-            estimates["PMAX"][c] = _corrected(observed, tpr, fpr)
+        estimates["MAX"][c] = _at_best_threshold(rates.curve, scores[:, c], cc)
+        estimates["PMAX"][c] = _at_best_threshold(rates.curve_scaled,
+                                                  np.array(scaled), pcc)
     return PrevalenceEstimate(estimates=estimates)
 
 
@@ -268,24 +262,18 @@ def evaluate_quantification(estimates: PrevalenceEstimate,
         raise ValidationError("test_size must be >= 1")
     eps = 1.0 / (2.0 * test_size)
     rows = []
-    sums: dict = {name: [0.0, 0.0, 0.0] for name in estimates.estimates}
-    for name in estimates.estimates:
-        per_cat = estimates.estimates[name]
+    for name, per_cat in estimates.estimates.items():
         if set(per_cat) != set(true_prevalences):
             raise ValidationError("estimate and truth category sets differ")
         for c in sorted(per_cat):
             p_hat, p = per_cat[c], true_prevalences[c]
             ae = abs(p_hat - p)
-            rae = ae / max(p, eps)
-            kld = smoothed_kld(p_hat, p, eps)
-            rows.append((name, c, p_hat, p, ae, rae, kld))
-            sums[name][0] += ae
-            sums[name][1] += rae
-            sums[name][2] += kld
+            rows.append((name, c, p_hat, p, ae, ae / max(p, eps),
+                         smoothed_kld(p_hat, p, eps)))
     n_cats = max(1, len(true_prevalences))
-    means = {name: {"AE": s[0] / n_cats, "RAE": s[1] / n_cats,
-                    "KLD": s[2] / n_cats}
-             for name, s in sums.items()}
+    means = {name: {key: sum(r[i] for r in rows if r[0] == name) / n_cats
+                    for i, key in ((4, "AE"), (5, "RAE"), (6, "KLD"))}
+             for name in estimates.estimates}
     return QuantificationReport(rows=tuple(rows), means=means)
 
 

@@ -46,12 +46,18 @@ def english_stopwords() -> frozenset:
 
 
 def decode_entities(text: str) -> str:
-    """Replace &amp; &lt; &gt; &quot; &apos; and numeric &#nn;/&#xhh; forms."""
+    """Replace &amp; &lt; &gt; &quot; &apos; and numeric &#nn;/&#xhh; forms;
+    one beyond U+10FFFF or in the surrogate range becomes U+FFFD."""
     def sub(match):
         name = match.group(1)
         if name in _ENTITIES:
             return _ENTITIES[name]
-        code = int(name[2:], 16) if name[1] in "xX" else int(name[1:])
+        hex_form = name[1] in "xX"
+        # 9 significant digits already exceed U+10FFFF in either base
+        digits = name[1 + hex_form:].lstrip("0")[:9] or "0"
+        code = int(digits, 16 if hex_form else 10)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            return "\ufffd"
         return chr(code)
 
     return _ENTITY_RE.sub(sub, text)

@@ -108,3 +108,35 @@ def test_unexpected_exception_is_one_internal_error_line(tmp_path, monkeypatch,
     assert code == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError('stage blew up\\nsecond line')\n"
+
+
+@pytest.mark.parametrize("text, feature", [
+    ("x&#99999999;y", "x�y"), ("a&#xD800;b", "a�b")])
+def test_invalid_numeric_entity_indexes_as_replacement_char(tmp_path, text,
+                                                            feature):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text(f"d0\tsports\t{text}\n", encoding="utf-8")
+    out = tmp_path / "idx"
+    assert main(["index", "--input", str(corpus), "--categories",
+                 TOY_CATEGORIES, "--out", str(out)]) == EXIT_OK
+    features = (out / "features.tsv").read_text(encoding="utf-8")
+    assert f"\t{feature}\n" in features
+
+
+def test_undecodable_corpus_bytes_exit_2_with_line(tmp_path, capsys):
+    corpus = tmp_path / "c.csv"
+    corpus.write_bytes(b"d0\tsports\tgood\nd1\tsports\t\xff\xfe\n")
+    assert main(["index", "--input", str(corpus), "--categories",
+                 TOY_CATEGORIES, "--out", str(tmp_path / "idx")]) == EXIT_DATA
+    assert f"{corpus}:2:" in capsys.readouterr().err
+
+
+def test_undecodable_predictions_bytes_exit_2_with_line(tmp_path, capsys):
+    idx = str(tmp_path / "idx")
+    assert main(["index", "--input", TOY_CORPUS, "--categories",
+                 TOY_CATEGORIES, "--out", idx]) == EXIT_OK
+    pred = tmp_path / "pred.tsv"
+    pred.write_bytes(b"0\t0\n1\t\xff\n")
+    assert main(["eval", "--pred", str(pred), "--gold", idx,
+                 "--out", str(tmp_path / "eval.tsv")]) == EXIT_DATA
+    assert f"{pred}:2:" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Parser golden files and round trips for the corpus readers/writers."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jatecs import (ParseError, SparseInstance, read_arff, read_category_file,
-                    read_csv, read_libsvm, write_libsvm)
+from jatecs import (ParseError, SparseInstance, ValidationError, read_arff,
+                    read_category_file, read_csv, read_libsvm, write_libsvm)
 from jatecs.corpus import NOMINAL, NUMERIC, STRING, instances_to_documents
 from jatecs.rng import SplitMix64
 
@@ -281,3 +284,56 @@ class TestArffGolden:
     def test_deterministic_reparse(self, tmp_path):
         path = _write(tmp_path, "same.arff", ARFF_SPARSE)
         assert read_arff(path) == read_arff(path)
+
+
+def _fragments(*pieces):
+    """Byte strings built from format fragments, raw bytes and bad UTF-8."""
+    pieces = [p.encode("utf-8") for p in pieces] + [
+        b"\xff", b"\xfe", b"\xc3", b"\xed\xa0\x80", b"\xc3\xa9", b"\r",
+        b"\n", b"\t", b" ", b",", b":"]
+    return st.one_of(st.binary(max_size=120),
+                     st.lists(st.one_of(st.sampled_from(pieces),
+                                        st.binary(max_size=4)),
+                              max_size=30).map(b"".join))
+
+
+def _load_or_reject(data, reader):
+    """Read `data` from a file: it loads, or is rejected as bad data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            reader(path)
+        except (ParseError, ValidationError):
+            pass
+
+
+class TestArbitraryBytes:
+    """Any bytes either load or raise ParseError/ValidationError."""
+
+    @given(_fragments("d0", "c0", "c1", "text"))
+    @settings(max_examples=150, deadline=None)
+    def test_csv(self, data):
+        _load_or_reject(data, lambda p: read_csv(p, categories={"c0", "c1"}))
+
+    @given(_fragments("1", "-1", "c0", "3:0.5", "1:", "#", "0:1", "2:nan",
+                      "1e309", "x"))
+    @settings(max_examples=150, deadline=None)
+    def test_libsvm(self, data):
+        _load_or_reject(data, read_libsvm)
+
+    @given(_fragments("@relation r\n", "@attribute a numeric\n",
+                      "@attribute class {p,n}\n", "@attribute s string\n",
+                      "@data\n", "{0 1, 1 p}", "'q'", "1.5", "p", "?", "{",
+                      "}", "%"))
+    @settings(max_examples=150, deadline=None)
+    def test_arff(self, data):
+        _load_or_reject(data, read_arff)
+
+    def test_csv_bad_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"d0\tc0\tok\nd1\tc0\tbad \xff\xfe\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv(path)
+        assert exc.value.line_no == 2

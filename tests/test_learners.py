@@ -361,3 +361,15 @@ def _noisy_corpus(n_per_cat=30, flip_every=10):
             labels = [{"alpha": "beta", "beta": "alpha"}[labels[0]]]
         specs.append((base.documents.name(d), feats, labels))
     return make_corpus(specs, list(base.categories.names))
+
+
+class TestEmptyVocabulary:
+    """An index without features (every text was stop words) trains, and
+    each document scores its category's prior."""
+
+    def test_naive_bayes_scores_the_prior(self):
+        index = make_corpus([("d0", {}, ["c0"]), ("d1", {}, []),
+                             ("d2", {}, [])], ["c0"])
+        classifier = train(NaiveBayesLearner(), index)
+        assert classify_document(classifier, index, 0).scores[0] == \
+            pytest.approx(math.log(1 / 3) - math.log(2 / 3))

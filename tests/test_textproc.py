@@ -144,3 +144,20 @@ class TestSetExtractor:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ExtractorConfig(kind="Skipgram")
+
+
+class TestInvalidNumericEntities:
+    """Numeric entities that name no character decode to U+FFFD."""
+
+    def test_out_of_range_code_point(self):
+        assert decode_entities("x &#99999999; y") == "x � y"
+        assert decode_entities("&#x110000;") == "�"
+        assert decode_entities("&#" + "9" * 5000 + ";") == "�"
+
+    def test_surrogate_code_point(self):
+        assert decode_entities("a&#xD800;b") == "a�b"
+        assert decode_entities("&#57343;") == "�"
+
+    def test_neighbours_of_the_invalid_ranges_decode(self):
+        assert decode_entities("&#xD7FF;&#xE000;&#x10FFFF;&#00065;") == \
+            "퟿\U0010ffffA"
