@@ -10,6 +10,12 @@ subcommand writes.  Exit codes: 0 success, 1 usage/config error, 2
 data/parse error or a file that cannot be read or written, 3 internal
 invariant violation.  Given identical inputs, flags and seeds, every
 subcommand writes byte-identical outputs.
+
+Each option is registered on its subcommand's parser with its type and
+choices, and must be spelled in full.  Each `key=value` line of a --config
+file is parsed by that same parser as the flag --key=value, so a config
+value gets the same checks as a flag; a bad line exits 1 with file:line.
+Flags win over config values, which win over the defaults.
 """
 
 from __future__ import annotations
@@ -60,19 +66,20 @@ def _bool(value: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise CliError(f"expected true/false, got {value!r}")
+    raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
 def _separator(value: str) -> str:
     if value == "\\t":
         return "\t"
     if len(value) != 1:
-        raise CliError(f"separator must be a single character, got {value!r}")
+        raise argparse.ArgumentTypeError(
+            f"separator must be a single character, got {value!r}")
     return value
 
 
 # Option tables: (name, type, default, choices, help). All options take a
-# value so the config-file merge treats every key uniformly.
+# value, so a config line key=value is the flag --key=value.
 _COMMON = [
     ("config", str, None, None, "config file of key=value lines"),
     ("threads", int, 0, None,
@@ -171,7 +178,6 @@ COMMANDS = {
                       "separate test corpus for classify/quantify stages"),
                      ("folds", int, 50, None, "quantify stage folds"),
                      ("slope", float, 1.0, None, "quantify scaling slope"),
-                     ("seed", int, 0, None, "seed for seeded stages"),
                      ("out", str, None, None, "output root directory"),
                  ]),
 }
@@ -195,87 +201,70 @@ _STAGE_ORDER = ("index", "tsr", "weight", "train", "classify", "eval",
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="jatecs", description=__doc__)
+    parser = _Parser(prog="jatecs", description=__doc__, allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="command")
     for command, options in COMMANDS.items():
-        sub = subparsers.add_parser(command, description=f"jatecs {command}")
+        sub = subparsers.add_parser(command, description=f"jatecs {command}",
+                                    allow_abbrev=False)
         for name, kind, default, choices, help_text in options + _COMMON:
             text = help_text
             if default not in (None, ""):
                 text += f" (default: {default!r})"
-            if kind == "append":
-                sub.add_argument(f"--{name}", action="append", default=None,
-                                 help=text)
-            else:
-                # defaults are injected after the config merge
-                sub.add_argument(f"--{name}", type=str, default=None, help=text)
+            how = ({"action": "append"} if kind == "append"
+                   else {"type": kind, "choices": choices})
+            # no argparse default: defaults go in under config values; the
+            # metavar keeps NAME in the help where argparse lists choices
+            sub.add_argument(f"--{name}", help=text,
+                             metavar=name.replace("-", "_").upper(), **how)
     return parser
 
 
-def _load_config(path) -> dict:
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
+def _given(args) -> dict:
+    """The options a parse set, by attribute name."""
+    return {key: value for key, value in vars(args).items()
+            if value is not None and key != "command"}
+
+
+def _config_options(parser, command: str, path) -> dict:
+    """The options of a config file: each key=value line is parsed as the
+    flag --key=value of `command`."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    try:
+        for line_no, line in numbered_lines(path, newline=None):
+            line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise CliError(f"{path}:{line_no}: expected key=value")
-            values[key.strip()] = value.strip()
+            if key == "param":
+                raise CliError(f"{path}:{line_no}: config key 'param' must "
+                               "be given on the command line")
+            try:
+                args = parser.parse_args([command, f"--{key}={value.strip()}"])
+            except CliError as exc:
+                raise CliError(f"{path}:{line_no}: {exc}") from None
+            values.update(_given(args))
+    except ParseError as exc:  # an undecodable byte
+        raise CliError(str(exc)) from None
+    except OSError as exc:
+        raise CliError(f"cannot read config file: {exc}") from None
     return values
 
 
-def _merge_options(command: str, args) -> dict:
+def _options(parser, args) -> dict:
     """defaults <- config file <- explicit flags, rightmost wins."""
-    options = COMMANDS[command] + _COMMON
-    spec = {name: (kind, default, choices)
-            for name, kind, default, choices, _ in options}
-    merged = {name.replace("-", "_"): spec[name][1] for name in spec}
-    raw = vars(args)
-
-    config_path = raw.get("config")
-    if config_path is not None:
-        config = _load_config(config_path)
-        for key, value in config.items():
-            if key not in spec:
-                raise CliError(f"unknown config key {key!r} for '{command}'")
-            kind, _, choices = spec[key]
-            if kind == "append":
-                raise CliError(f"config key {key!r} must be given on the "
-                               "command line")
-            merged[key.replace("-", "_")] = _convert(key, kind, choices, value)
-
-    for key in spec:
-        attr = key.replace("-", "_")
-        value = raw.get(attr)
-        if value is None:
-            continue
-        kind, _, choices = spec[key]
-        if kind == "append":
-            merged[attr] = list(value)
-        else:
-            merged[attr] = _convert(key, kind, choices, value)
-
+    command = args.command
+    opts = {name.replace("-", "_"): default
+            for name, _, default, _, _ in COMMANDS[command] + _COMMON}
+    if args.config is not None:
+        opts.update(_config_options(parser, command, args.config))
+    opts.update(_given(args))
     for key in _REQUIRED[command]:
-        if merged.get(key.replace("-", "_")) is None:
+        if opts[key.replace("-", "_")] is None:
             raise CliError(f"--{key} is required for '{command}'")
-    return merged
-
-
-def _convert(key, kind, choices, value):
-    if kind is str:
-        converted = value
-    else:
-        try:
-            converted = kind(value)
-        except (TypeError, ValueError):
-            raise CliError(f"bad value {value!r} for --{key}") from None
-    if choices is not None and converted not in choices:
-        raise CliError(f"--{key} must be one of {', '.join(choices)}")
-    return converted
+    return opts
 
 
 def _threads(opts) -> int:
@@ -285,18 +274,6 @@ def _threads(opts) -> int:
         return int(env) if env is not None else opts.get("threads") or 0
     except ValueError:
         raise CliError(f"bad JATECS_THREADS value {env!r}") from None
-
-
-def _require_file(path) -> str:
-    if not os.path.isfile(path):
-        raise ParseError(path, 0, "input file not found")
-    return path
-
-
-def _require_index_dir(path) -> str:
-    if not os.path.isdir(path):
-        raise ParseError(path, 0, "index directory not found")
-    return path
 
 
 def _extractor_config(opts) -> ExtractorConfig:
@@ -341,8 +318,6 @@ def _write_tsv(path, rows) -> None:
 
 
 def _build_index_from_opts(opts, input_path):
-    _require_file(input_path)
-    _require_file(opts["categories"])
     categories = read_category_file(opts["categories"])
     docs = read_corpus(opts["reader"], input_path, categories,
                        separator=opts["separator"])
@@ -468,10 +443,6 @@ def _quantify_stage(opts, train_index, test_index) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _read_index(path):
-    return deserialize_index(_require_index_dir(path))
-
-
 def cmd_index(opts) -> int:
     index = _build_index_from_opts(opts, opts["input"])
     serialize_index(index, opts["out"])
@@ -482,12 +453,12 @@ def cmd_index(opts) -> int:
 
 
 def cmd_tsr(opts) -> int:
-    _tsr_stage(opts, _read_index(opts["index"]))
+    _tsr_stage(opts, deserialize_index(opts["index"]))
     return EXIT_OK
 
 
 def cmd_project(opts) -> int:
-    index = _read_index(opts["index"])
+    index = deserialize_index(opts["index"])
     dim = opts["dim"]
     nonzeros = opts["nonzeros"] or max(1, round(dim * 0.01))
     model = build_projection(index, _KIND_NAMES[opts["kind"]], dim,
@@ -500,12 +471,12 @@ def cmd_project(opts) -> int:
 
 
 def cmd_weight(opts) -> int:
-    _weight_stage(opts, _read_index(opts["index"]))
+    _weight_stage(opts, deserialize_index(opts["index"]))
     return EXIT_OK
 
 
 def cmd_train(opts) -> int:
-    _train_stage(opts, _read_index(opts["index"]))
+    _train_stage(opts, deserialize_index(opts["index"]))
     return EXIT_OK
 
 
@@ -515,14 +486,14 @@ def _scores_path(out_path: str) -> str:
 
 
 def cmd_classify(opts) -> int:
-    classifier = load_classifier(_require_index_dir(opts["model"]))
-    _classify_stage(opts, classifier, _read_index(opts["index"]))
+    classifier = load_classifier(opts["model"])
+    _classify_stage(opts, classifier, deserialize_index(opts["index"]))
     return EXIT_OK
 
 
 def _read_predictions(path) -> dict:
     predictions: dict = {}
-    for line_no, line in numbered_lines(_require_file(path), newline=None):
+    for line_no, line in numbered_lines(path, newline=None):
         if not line:
             continue
         parts = line.split("\t")
@@ -562,19 +533,19 @@ def _eval_rows(index, table_set):
 
 
 def cmd_eval(opts) -> int:
-    gold_index = _read_index(opts["gold"])
+    gold_index = deserialize_index(opts["gold"])
     _eval_stage(opts, _read_predictions(opts["pred"]), gold_index)
     return EXIT_OK
 
 
 def cmd_quantify(opts) -> int:
-    train_index = _read_index(opts["train"])
-    _quantify_stage(opts, train_index, _read_index(opts["test"]))
+    train_index = deserialize_index(opts["train"])
+    _quantify_stage(opts, train_index, deserialize_index(opts["test"]))
     return EXIT_OK
 
 
 def cmd_kfold(opts) -> int:
-    index = _read_index(opts["index"])
+    index = deserialize_index(opts["index"])
     plan = make_folds(index, opts["k"], mode=opts["mode"], seed=opts["seed"])
     table_set = kfold_evaluate(_learner_from(opts), index, plan,
                                threads=_threads(opts))
@@ -586,7 +557,7 @@ def cmd_kfold(opts) -> int:
 
 
 def cmd_grid(opts) -> int:
-    index = _read_index(opts["index"])
+    index = deserialize_index(opts["index"])
     grid = {}
     for name, value in _parse_params(opts.get("param")).items():
         grid[name] = [v for v in value.split(",") if v]
@@ -701,7 +672,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        opts = _merge_options(args.command, args)
+        opts = _options(parser, args)
         return _HANDLERS[args.command](opts)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 from .errors import ParseError, ValidationError
 from .index import Index, build_index
 
-TRAINING = "Training"
-TEST = "Test"
-
 # the surrogateescape handler decodes an undecodable byte to U+DC80-U+DCFF
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -46,7 +43,6 @@ class RawDocument:
     name: str
     text: str
     labels: tuple
-    set_type: str = TRAINING
     features: tuple = field(default_factory=tuple)
 
 
@@ -162,7 +158,7 @@ def write_libsvm(instances, path) -> None:
 # -- CSV ----------------------------------------------------------------------
 
 
-def read_csv(path, separator="\t", categories=None, set_type=TRAINING) -> list:
+def read_csv(path, separator="\t", categories=None) -> list:
     """Separator-delimited corpus: docName, comma-joined labels, text.
 
     The text field is the unescaped remainder of the line after the second
@@ -187,8 +183,7 @@ def read_csv(path, separator="\t", categories=None, set_type=TRAINING) -> list:
             for lab in labels:
                 if lab not in categories:
                     raise ParseError(path, line_no, f"unknown label {lab!r}")
-        docs.append(RawDocument(name=name, text=text, labels=labels,
-                                set_type=set_type))
+        docs.append(RawDocument(name=name, text=text, labels=labels))
     return docs
 
 

@@ -107,8 +107,6 @@ _LEARNER_KINDS = {
     "boost": AdaBoostMHLearner,
 }
 
-_INT_PARAMS = {"k", "iterations"}
-
 
 def make_learner(kind: str, **params):
     """CLI/grid-search factory; rejects unknown kinds and parameters."""
@@ -116,11 +114,16 @@ def make_learner(kind: str, **params):
         cls = _LEARNER_KINDS[kind]
     except KeyError:
         raise ValidationError(f"unknown learner kind {kind!r}") from None
+    fields = cls.__dataclass_fields__
     coerced = {}
     for name, value in params.items():
-        if name not in cls.__dataclass_fields__ or name == "kind":
+        if name not in fields or name == "kind":
             raise ValidationError(f"unknown {kind} hyperparameter {name!r}")
-        coerced[name] = int(value) if name in _INT_PARAMS else float(value)
+        try:  # to the type of the field's default
+            coerced[name] = type(fields[name].default)(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"bad value {value!r} for {kind} "
+                                  f"hyperparameter {name!r}") from None
     return cls(**coerced)
 
 

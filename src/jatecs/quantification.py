@@ -17,7 +17,6 @@ The pool composition is a registry, so swapping members is trivial.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +26,6 @@ from .errors import ValidationError
 from .experiments import SIMPLE, STRATIFIED, make_folds
 from .index import Index, subset_index
 from .learners import TrainedClassifier, train
-
-log = logging.getLogger("jatecs")
 
 QUANTIFIERS = ("CC", "ACC", "MAX", "PCC", "PACC", "PMAX")
 
@@ -117,7 +114,8 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
 
     Any classification learner plugs in.  `folds` is clamped to the training
     size; stratified folds are used unless some category has fewer than two
-    positives, in which case simple folds are used and a warning is issued.
+    positives, in which case simple folds are used and a warning is added
+    to the pool's `warnings`.
     """
     if scaling is None:
         scaling = LogisticScaling()
@@ -137,7 +135,6 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
         message = ("categories with fewer than 2 positives, falling back to "
                    f"simple folds: {', '.join(thin)}")
         warnings.append(message)
-        log.warning("%s", message)
     plan = make_folds(train_index, folds, mode=mode, seed=0)
 
     # out-of-fold D x C scores and decisions
