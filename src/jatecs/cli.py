@@ -26,13 +26,14 @@ import os
 import sys
 
 from . import weighting
-from .corpus import (documents_to_index, numbered_lines, read_category_file,
-                     read_corpus)
+from .corpus import (READERS, documents_to_index, numbered_lines,
+                     read_category_file, read_corpus)
 from .errors import InternalError, JatecsError, ParseError, ValidationError
 from .evaluation import compare, measures, micro_macro
 from .experiments import grid_search, kfold_evaluate, make_folds
 from .index import deserialize_index, serialize_index
-from .learners import load_classifier, make_learner, save_classifier, train
+from .learners import (LEARNERS, load_classifier, make_learner,
+                       save_classifier, train)
 from .projection import build_projection, project, save_projection
 from .quantification import (LogisticScaling, evaluate_quantification,
                              learn_quantifiers, quantify, true_prevalences,
@@ -45,6 +46,19 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+log = logging.getLogger("jatecs")
+
+
+class _WarningLines(logging.Handler):
+    """Each warning as one `warning: <message>` line on the sys.stderr of
+    the moment, so a redirected or captured stderr receives it."""
+
+    def emit(self, record):
+        print(f"warning: {record.getMessage()}", file=sys.stderr)
+
+
+_WARNINGS = _WarningLines(logging.WARNING)
 
 _FUNC_NAMES = {"ig": "IG", "chi2": "Chi2", "pmi": "PMI", "or": "OddsRatio"}
 _KIND_NAMES = {"ri": "RandomIndexing", "lri": "LightweightRI",
@@ -87,7 +101,7 @@ _COMMON = [
 ]
 
 _READER_OPTS = [
-    ("reader", str, "csv", ("libsvm", "csv", "arff"), "corpus format"),
+    ("reader", str, "csv", tuple(READERS), "corpus format"),
     ("input", str, None, None, "corpus file"),
     ("categories", str, None, None, "category label file"),
     ("separator", _separator, "\t", None, "CSV field separator (\\t for tab)"),
@@ -105,7 +119,6 @@ _TSR_OPTS = [
     ("func", str, "ig", tuple(_FUNC_NAMES), "TSR scoring function"),
     ("policy", str, "rr", ("local", "max", "sum", "wavg", "rr"),
      "selection policy"),
-    ("k", int, None, None, "number of features to keep"),
 ]
 
 _WEIGHT_OPTS = [
@@ -115,7 +128,7 @@ _WEIGHT_OPTS = [
 ]
 
 _LEARNER_OPTS = [
-    ("learner", str, "nb", ("nb", "rocchio", "knn", "boost"), "learner kind"),
+    ("learner", str, "nb", tuple(LEARNERS), "learner kind"),
     ("param", "append", None, None,
      "learner hyperparameter as name=value (repeatable)"),
 ]
@@ -124,7 +137,8 @@ COMMANDS = {
     "index": _READER_OPTS + _EXTRACTOR_OPTS + [
         ("out", str, None, None, "output index directory")],
     "tsr": [("index", str, None, None, "input index directory"),
-            ("out", str, None, None, "output index directory")] + _TSR_OPTS,
+            ("out", str, None, None, "output index directory")] + _TSR_OPTS + [
+        ("k", int, None, None, "number of features to keep")],
     "project": [
         ("index", str, None, None, "input index directory"),
         ("out", str, None, None, "output directory"),
@@ -170,8 +184,9 @@ COMMANDS = {
         ("seed", int, 0, None, "shuffle seed"),
         ("out", str, "grid.tsv", None, "score table output file"),
     ] + _LEARNER_OPTS,
-    "pipeline": (_READER_OPTS + _EXTRACTOR_OPTS + _TSR_OPTS + _WEIGHT_OPTS
-                 + _LEARNER_OPTS + [
+    "pipeline": (_READER_OPTS + _EXTRACTOR_OPTS + _TSR_OPTS
+                 + [("k", int, 500, None, "number of features to keep")]
+                 + _WEIGHT_OPTS + _LEARNER_OPTS + [
                      ("stages", str, "index,tsr,weight,train,classify,eval",
                       None, "comma-separated stage list"),
                      ("test-input", str, None, None,
@@ -279,19 +294,13 @@ def _threads(opts) -> int:
 def _extractor_config(opts) -> ExtractorConfig:
     stoplist = english_stopwords() if opts["stoplist"] == "en" else None
     stemmer = "EnglishPorter" if opts["stem"] == "en" else None
-    if opts["extractor"] == "bow":
-        return ExtractorConfig(kind="BOW", stoplist=stoplist, stemmer=stemmer)
-    if opts["extractor"] == "chargrams":
-        return ExtractorConfig(kind="CharNGram", ngram_size=opts["ngram"],
-                               word_bounded=opts["word_bounded"],
-                               stoplist=stoplist, stemmer=stemmer)
-    children = (
-        ExtractorConfig(kind="BOW", stoplist=stoplist, stemmer=stemmer),
-        ExtractorConfig(kind="CharNGram", ngram_size=opts["ngram"],
-                        word_bounded=opts["word_bounded"],
-                        stoplist=stoplist, stemmer=stemmer),
-    )
-    return ExtractorConfig(kind="Set", children=children, namespacing=True)
+    bow = ExtractorConfig(kind="BOW", stoplist=stoplist, stemmer=stemmer)
+    grams = ExtractorConfig(kind="CharNGram", ngram_size=opts["ngram"],
+                            word_bounded=opts["word_bounded"],
+                            stoplist=stoplist, stemmer=stemmer)
+    if opts["extractor"] == "set":
+        return ExtractorConfig(kind="Set", children=(bow, grams))
+    return bow if opts["extractor"] == "bow" else grams
 
 
 def _parse_params(param_list) -> dict:
@@ -317,14 +326,13 @@ def _write_tsv(path, rows) -> None:
                          for row in rows))
 
 
-def _build_index_from_opts(opts, input_path):
+def _index_corpus(opts, input_path, extractor):
     categories = read_category_file(opts["categories"])
     docs = read_corpus(opts["reader"], input_path, categories,
                        separator=opts["separator"])
     if not docs:
-        print("warning: empty corpus, building an empty index",
-              file=sys.stderr)
-    return documents_to_index(docs, categories, _extractor_config(opts))
+        log.warning("empty corpus, building an empty index")
+    return documents_to_index(docs, categories, extractor)
 
 
 # -- stages: plain functions over an in-memory Index ---------------------------
@@ -393,7 +401,7 @@ def _weight_stage(opts, index):
 def _train_stage(opts, index):
     classifier = train(_learner_from(opts), index)
     for message in classifier.warnings:
-        print(f"warning: {message}", file=sys.stderr)
+        log.warning("%s", message)
     save_classifier(classifier, opts["out"])
     print(f"trained {classifier.kind} on D={index.num_documents} "
           f"-> {opts['out']}")
@@ -426,7 +434,7 @@ def _quantify_stage(opts, train_index, test_index) -> None:
                              folds=opts["folds"],
                              scaling=LogisticScaling(slope=opts["slope"]))
     for message in pool.warnings:
-        print(f"warning: {message}", file=sys.stderr)
+        log.warning("%s", message)
     estimates = quantify(pool, test_index)
     truth = true_prevalences(test_index)
     report = evaluate_quantification(estimates, truth,
@@ -444,7 +452,7 @@ def _quantify_stage(opts, train_index, test_index) -> None:
 
 
 def cmd_index(opts) -> int:
-    index = _build_index_from_opts(opts, opts["input"])
+    index = _index_corpus(opts, opts["input"], _extractor_config(opts))
     serialize_index(index, opts["out"])
     nnz = len(index.arrays().features)
     print(f"indexed D={index.num_documents} F={index.num_features} "
@@ -452,9 +460,12 @@ def cmd_index(opts) -> int:
     return EXIT_OK
 
 
-def cmd_tsr(opts) -> int:
-    _tsr_stage(opts, deserialize_index(opts["index"]))
-    return EXIT_OK
+def _on_index(stage):
+    """The subcommand that runs `stage` on the index read from --index."""
+    def command(opts) -> int:
+        stage(opts, deserialize_index(opts["index"]))
+        return EXIT_OK
+    return command
 
 
 def cmd_project(opts) -> int:
@@ -470,16 +481,6 @@ def cmd_project(opts) -> int:
     return EXIT_OK
 
 
-def cmd_weight(opts) -> int:
-    _weight_stage(opts, deserialize_index(opts["index"]))
-    return EXIT_OK
-
-
-def cmd_train(opts) -> int:
-    _train_stage(opts, deserialize_index(opts["index"]))
-    return EXIT_OK
-
-
 def _scores_path(out_path: str) -> str:
     root, ext = os.path.splitext(out_path)
     return f"{root}-scores{ext or '.tsv'}"
@@ -491,7 +492,9 @@ def cmd_classify(opts) -> int:
     return EXIT_OK
 
 
-def _read_predictions(path) -> dict:
+def _read_predictions(path, gold_index) -> dict:
+    """The dID -> [cID] map of a predictions file; an id outside the gold
+    index is a ParseError on its line."""
     predictions: dict = {}
     for line_no, line in numbered_lines(path, newline=None):
         if not line:
@@ -503,6 +506,10 @@ def _read_predictions(path) -> dict:
             d, c = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(path, line_no, "non-integer id") from None
+        if not 0 <= d < gold_index.num_documents:
+            raise ParseError(path, line_no, f"unknown document {d}")
+        if not 0 <= c < gold_index.num_categories:
+            raise ParseError(path, line_no, f"unknown category {c}")
         predictions.setdefault(d, []).append(c)
     return predictions
 
@@ -534,7 +541,7 @@ def _eval_rows(index, table_set):
 
 def cmd_eval(opts) -> int:
     gold_index = deserialize_index(opts["gold"])
-    _eval_stage(opts, _read_predictions(opts["pred"]), gold_index)
+    _eval_stage(opts, _read_predictions(opts["pred"], gold_index), gold_index)
     return EXIT_OK
 
 
@@ -601,6 +608,7 @@ def cmd_pipeline(opts) -> int:
     root = opts["out"]
     os.makedirs(root, exist_ok=True)
     index = classifier = predictions = test_index = None
+    extractor = _extractor_config(opts)  # one stem memo for both corpora
 
     def eval_index():
         """--test-input's index when given, else the pipeline's own one
@@ -610,7 +618,7 @@ def cmd_pipeline(opts) -> int:
         if opts.get("test_input") is None:
             return index
         if test_index is None:
-            test_index = _build_index_from_opts(opts, opts["test_input"])
+            test_index = _index_corpus(opts, opts["test_input"], extractor)
             serialize_index(test_index, os.path.join(root, "test-index"))
         return test_index
 
@@ -618,11 +626,12 @@ def cmd_pipeline(opts) -> int:
         out = os.path.join(root, stage)
         try:
             if stage == "index":
-                index = _build_index_from_opts(opts, opts["input"])
+                index = _index_corpus(opts, opts["input"], extractor)
+                if opts.get("test_input") is None:
+                    extractor = None  # frees the stem memo: no other corpus
                 serialize_index(index, out)
             elif stage == "tsr":
-                k = 500 if opts["k"] is None else opts["k"]
-                index = _tsr_stage(dict(opts, k=k, out=out), index)
+                index = _tsr_stage(dict(opts, out=out), index)
             elif stage == "weight":
                 index = _weight_stage(dict(opts, out=out), index)
             elif stage == "train":
@@ -652,10 +661,10 @@ def cmd_pipeline(opts) -> int:
 
 _HANDLERS = {
     "index": cmd_index,
-    "tsr": cmd_tsr,
+    "tsr": _on_index(_tsr_stage),
     "project": cmd_project,
-    "weight": cmd_weight,
-    "train": cmd_train,
+    "weight": _on_index(_weight_stage),
+    "train": _on_index(_train_stage),
     "classify": cmd_classify,
     "eval": cmd_eval,
     "quantify": cmd_quantify,
@@ -666,6 +675,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    log.addHandler(_WARNINGS)  # a no-op once it is attached
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -684,7 +694,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # a bug: one line; the traceback at debug level
-        logging.getLogger("jatecs").debug("internal error", exc_info=True)
+        log.debug("internal error", exc_info=True)
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

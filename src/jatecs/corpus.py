@@ -3,7 +3,9 @@
 All readers are deterministic, never reorder documents, and raise
 :class:`~jatecs.errors.ParseError` (which carries the line number) on bad
 input.  Files are UTF-8; CR-LF is tolerated on read, LF is emitted on write.
-A byte sequence that is not UTF-8 is a ParseError on its line.
+A byte sequence that is not UTF-8 is a ParseError on its line, and so is a
+label outside the category list a reader is given.  `READERS` maps each
+reader name to a function returning documents; `read_corpus` dispatches on it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ class SparseInstance:
     pairs: tuple
 
 
+def _check_labels(path, line_no, labels, categories) -> None:
+    """A label outside `categories`, if given, is a ParseError on its line."""
+    if categories is not None:
+        for lab in labels:
+            if lab not in categories:
+                raise ParseError(path, line_no, f"unknown label {lab!r}")
+
+
 def read_category_file(path) -> list:
     """One category label per non-empty line; `#`-prefixed lines are skipped."""
     labels = []
@@ -89,10 +99,7 @@ def _parse_libsvm_line(path, line_no, raw, categories):
         tokens = body.split()
         label_field, pair_tokens = tokens[0], tokens[1:]
     labels = tuple(t for t in label_field.split(",") if t)
-    if categories is not None:
-        for lab in labels:
-            if lab not in categories:
-                raise ParseError(path, line_no, f"unknown label {lab!r}")
+    _check_labels(path, line_no, labels, categories)
     pairs = []
     prev = 0
     for tok in pair_tokens:
@@ -179,10 +186,7 @@ def read_csv(path, separator="\t", categories=None) -> list:
         if not name:
             raise ParseError(path, line_no, "empty document name")
         labels = tuple(t for t in label_field.split(",") if t)
-        if categories is not None:
-            for lab in labels:
-                if lab not in categories:
-                    raise ParseError(path, line_no, f"unknown label {lab!r}")
+        _check_labels(path, line_no, labels, categories)
         docs.append(RawDocument(name=name, text=text, labels=labels))
     return docs
 
@@ -310,7 +314,7 @@ def _row_to_document(path, line_no, attributes, class_idx, values, ordinal):
                        labels=labels, features=tuple(features))
 
 
-def read_arff(path):
+def read_arff(path, categories=None):
     """Parse the ARFF subset: header, dense and sparse `{i v}` data rows.
 
     Returns (attribute schema, documents).  The class attribute is the one
@@ -379,6 +383,7 @@ def read_arff(path):
             values = dict(enumerate(cells))
         docs.append(_row_to_document(path, line_no, attributes, class_idx,
                                      values, ordinal))
+        _check_labels(path, line_no, docs[-1].labels, categories)
         ordinal += 1
     if not in_data:
         raise ParseError(path, 0, "no @data section")
@@ -415,19 +420,19 @@ def documents_to_index(documents, categories, extractor=None) -> Index:
     return build_index(docs, labels, categories)
 
 
+# reader name -> function(path, categories=, separator=) returning documents
+READERS = {
+    "libsvm": lambda path, categories, **_: instances_to_documents(
+        read_libsvm(path, categories)),
+    "csv": read_csv,
+    "arff": lambda path, categories, **_: read_arff(path, categories)[1],
+}
+
+
 def read_corpus(reader, path, categories, separator="\t") -> list:
-    """Dispatch on reader name: libsvm, csv or arff."""
-    if reader not in ("libsvm", "csv", "arff"):
+    """The documents of a corpus file in the format READERS names `reader`."""
+    if reader not in READERS:
         raise ValidationError(f"unknown reader {reader!r}")
     if not os.path.exists(path):
         raise ParseError(path, 0, "input file not found")
-    if reader == "libsvm":
-        return instances_to_documents(read_libsvm(path, categories))
-    if reader == "csv":
-        return read_csv(path, separator=separator, categories=categories)
-    _, docs = read_arff(path)
-    for doc in docs:
-        for lab in doc.labels:
-            if lab not in categories:
-                raise ParseError(path, 0, f"unknown label {lab!r}")
-    return docs
+    return READERS[reader](path, categories=categories, separator=separator)

@@ -1,10 +1,12 @@
 """Experiment templates: k-fold cross-validation and grid search.
 
 Fold assignment is driven by the deterministic seeded generator, so plans,
-evaluations and grid searches are exactly reproducible.  Folds and grid
-points run one after another and are reduced in (point, fold) order.  The
-`threads` keyword is accepted and ignored: the work is GIL-bound, and a
-thread pool over it never ran faster than one thread.
+evaluations and grid searches are exactly reproducible.  `fold_splits` is
+the one k-fold split: `kfold_evaluate` and the quantifiers' rate estimation
+both iterate it.  Folds and grid points run one after another and are
+reduced in (point, fold) order.  The `threads` keyword is accepted and
+ignored: the work is GIL-bound, and a thread pool over it never ran faster
+than one thread.
 """
 
 from __future__ import annotations
@@ -87,32 +89,32 @@ def make_folds(index: Index, k: int, mode: str = SIMPLE,
     return FoldPlan(k=k, assignment=assignment, mode=mode, seed=seed)
 
 
-def _evaluate_fold(learner, index, plan, fold):
-    test_ids = plan.fold_documents(fold)
-    train_ids = [d for d in range(index.num_documents)
-                 if plan.assignment[d] != fold]
-    if not train_ids or not test_ids:
-        raise ValidationError(f"fold {fold} leaves an empty split")
-    train_index = subset_index(index, keep_docs=set(train_ids))
-    test_index = subset_index(index, keep_docs=set(test_ids))
-    classifier = train(learner, train_index)
-    for message in classifier.warnings:
-        log.warning("fold %d: %s", fold, message)
-    predictions = predict_classification(classifier, test_index)
-    gold = {d: test_index.document_categories(d)
-            for d in range(test_index.num_documents)}
-    return compare(predictions, gold, test_index.num_documents,
-                   test_index.num_categories)
+def fold_splits(index: Index, plan: FoldPlan):
+    """(fold, test ids, training index, test index) of every fold, in order."""
+    if set(plan.assignment) != set(range(index.num_documents)):
+        raise ValidationError("fold plan does not cover this index")
+    for fold in range(plan.k):
+        test_ids = plan.fold_documents(fold)
+        train_ids = set(range(index.num_documents)).difference(test_ids)
+        if not train_ids or not test_ids:
+            raise ValidationError(f"fold {fold} leaves an empty split")
+        yield (fold, test_ids, subset_index(index, keep_docs=train_ids),
+               subset_index(index, keep_docs=set(test_ids)))
 
 
 def kfold_evaluate(learner, index: Index, plan: FoldPlan,
                    threads: int = 1) -> ContingencyTableSet:
     """Train on each fold complement, classify the fold, sum the tables."""
-    if set(plan.assignment) != set(range(index.num_documents)):
-        raise ValidationError("fold plan does not cover this index")
     total = ContingencyTableSet({})
-    for fold in range(plan.k):
-        total = total + _evaluate_fold(learner, index, plan, fold)
+    for fold, _, train_index, test_index in fold_splits(index, plan):
+        classifier = train(learner, train_index)
+        for message in classifier.warnings:
+            log.warning("fold %d: %s", fold, message)
+        predictions = predict_classification(classifier, test_index)
+        gold = {d: test_index.document_categories(d)
+                for d in range(test_index.num_documents)}
+        total = total + compare(predictions, gold, test_index.num_documents,
+                                test_index.num_categories)
     return total
 
 

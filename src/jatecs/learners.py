@@ -53,11 +53,17 @@ KNN = "KNN"
 ADABOOST_MH = "AdaBoostMH"
 
 
+def _check_finite(learner, *names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(learner, name)):
+            raise ValidationError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class NaiveBayesLearner:
     """Multinomial Bayes with Laplace(1) smoothing, log-odds decisions."""
 
-    kind: str = NAIVE_BAYES
+    kind = NAIVE_BAYES
 
 
 @dataclass(frozen=True)
@@ -69,38 +75,42 @@ class RocchioLearner:
     similarity strictly exceeds the threshold ("any positive similarity").
     """
 
+    kind = ROCCHIO
     beta: float = 16.0
     gamma: float = 4.0
     threshold: float = 0.0
-    kind: str = ROCCHIO
+
+    def __post_init__(self):
+        _check_finite(self, "beta", "gamma", "threshold")
 
 
 @dataclass(frozen=True)
 class KnnLearner:
     """k nearest neighbors by cosine similarity, vote weighted by similarity."""
 
+    kind = KNN
     k: int = 30
     threshold: float = 0.5
-    kind: str = KNN
 
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k must be >= 1")
+        _check_finite(self, "threshold")
 
 
 @dataclass(frozen=True)
 class AdaBoostMHLearner:
     """Real-valued one-feature stumps boosted for T rounds per category."""
 
+    kind = ADABOOST_MH
     iterations: int = 100
-    kind: str = ADABOOST_MH
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
 
 
-_LEARNER_KINDS = {
+LEARNERS = {
     "nb": NaiveBayesLearner,
     "rocchio": RocchioLearner,
     "knn": KnnLearner,
@@ -108,16 +118,16 @@ _LEARNER_KINDS = {
 }
 
 
-def make_learner(kind: str, **params):
+def make_learner(kind: str, /, **params):
     """CLI/grid-search factory; rejects unknown kinds and parameters."""
     try:
-        cls = _LEARNER_KINDS[kind]
+        cls = LEARNERS[kind]
     except KeyError:
         raise ValidationError(f"unknown learner kind {kind!r}") from None
     fields = cls.__dataclass_fields__
     coerced = {}
     for name, value in params.items():
-        if name not in fields or name == "kind":
+        if name not in fields:
             raise ValidationError(f"unknown {kind} hyperparameter {name!r}")
         try:  # to the type of the field's default
             coerced[name] = type(fields[name].default)(value)
@@ -608,8 +618,7 @@ def train(learner, index: Index) -> TrainedClassifier:
         raise ValidationError(f"unknown learner {learner!r}") from None
     classifier = trainer(learner, index)
     classifier.hyperparameters = {
-        name: getattr(learner, name)
-        for name in learner.__dataclass_fields__ if name != "kind"}
+        name: getattr(learner, name) for name in learner.__dataclass_fields__}
     return classifier
 
 

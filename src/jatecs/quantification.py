@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import SIMPLE, STRATIFIED, make_folds
-from .index import Index, subset_index
+from .experiments import SIMPLE, STRATIFIED, fold_splits, make_folds
+from .index import Index, subset_index  # bench/tracing.py rebinds it
 from .learners import TrainedClassifier, train
 
 QUANTIFIERS = ("CC", "ACC", "MAX", "PCC", "PACC", "PMAX")
@@ -41,8 +41,8 @@ class LogisticScaling:
     slope: float = 1.0
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise ValidationError("logistic slope must be > 0")
+        if not math.isfinite(self.slope) or self.slope <= 0:
+            raise ValidationError("logistic slope must be finite and > 0")
 
 
 def scale_score(scaling: LogisticScaling, raw_score: float) -> float:
@@ -140,13 +140,10 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
     # out-of-fold D x C scores and decisions
     oof_scores = np.zeros((n_docs, train_index.num_categories))
     oof_decisions = np.zeros(oof_scores.shape, dtype=bool)
-    for fold in range(plan.k):
-        test_ids = plan.fold_documents(fold)
-        train_ids = set(range(n_docs)) - set(test_ids)
-        fold_classifier = train(learner, subset_index(train_index,
-                                                      keep_docs=train_ids))
-        fold_index = subset_index(train_index, keep_docs=set(test_ids))
-        scores = fold_classifier.score_index(fold_index)
+    for _, test_ids, fold_train, fold_test in fold_splits(train_index, plan):
+        fold_classifier = train(learner, fold_train)
+        del fold_train  # not held while the next split is built
+        scores = fold_classifier.score_index(fold_test)
         oof_scores[test_ids] = scores
         oof_decisions[test_ids] = fold_classifier.decisions(scores)
 

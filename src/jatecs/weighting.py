@@ -75,8 +75,8 @@ def bm25(index: Index, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Index:
     idf is ln((N - df + 0.5) / (df + 0.5)) floored at zero, so terms in more
     than half of the corpus never get a negative weight.
     """
-    if k1 <= 0:
-        raise ValidationError("k1 must be > 0")
+    if not math.isfinite(k1) or k1 <= 0:
+        raise ValidationError("k1 must be finite and > 0")
     if not 0 <= b <= 1:
         raise ValidationError("b must be in [0, 1]")
     stats = recompute_stats(index, k1=k1, b=b)
