@@ -83,6 +83,17 @@ def _bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:  # argparse's own wording for a bad int
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def _separator(value: str) -> str:
     if value == "\\t":
         return "\t"
@@ -109,7 +120,7 @@ _READER_OPTS = [
 
 _EXTRACTOR_OPTS = [
     ("extractor", str, "bow", ("bow", "chargrams", "set"), "feature extractor"),
-    ("ngram", int, 3, None, "character n-gram size"),
+    ("ngram", _positive_int, 3, None, "character n-gram size"),
     ("word-bounded", _bool, True, None, "n-grams within tokens (true/false)"),
     ("stoplist", str, "none", ("en", "none"), "stop word list"),
     ("stem", str, "none", ("en", "none"), "stemmer"),

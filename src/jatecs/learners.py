@@ -10,15 +10,24 @@ document-major CSR of the content and weighting relations plus a D x C label
 matrix.  With nnz the training nonzeros and n those of the scored documents:
 
   NB       one bincount over the (nonzero, label) pairs gives the class
-           counts of every category; scoring adds n terms per category
+           counts of every category, and their logs come from a table
+           filled at the counts that occur, without a sort; scoring adds n
+           terms per category
   Rocchio  one weighted bincount over the nonzeros per category; scoring
            adds n profile products per category
-  kNN      training keeps the view; a query is one sparse product against
-           every training document, O(nnz), then a partition for the k
-           nearest
-  boost    a round is two weighted bincounts over the nonzeros (W+ and W- of
-           every feature) and an argmin of Z over the features; scoring
-           adds the rounds in order over a row x stump feature presence
+  kNN      training keeps the view; score_index sorts it into feature-major
+           postings once per call, O(nnz log D), then takes the query rows
+           in blocks of at most KNN_BLOCK_CELLS similarities and joined
+           postings: one bincount over the block's postings join gives the
+           dot products, a partition per row the k nearest.  A single
+           score_document call builds the postings too, so it costs
+           O(nnz log D) rather than a scan's O(nnz)
+  boost    each category's nonzeros are split by class once; a round is one
+           weighted bincount over each class's nonzeros (W+ and W- of every
+           feature) and an argmin of Z over the features, and the chosen
+           stump's documents come from postings built once per train;
+           scoring adds the rounds in order over a row x stump feature
+           presence
 
 Sums behind a score run left to right in ascending id, the order of a scalar
 loop, so interleaved zeros leave them unchanged and ties go to the lower id.
@@ -238,6 +247,15 @@ def _feature_masks(index: Index):
     return masks
 
 
+def _feature_major(features, n_feats: int) -> tuple:
+    """Feature-major postings of a CSR's nonzeros: (starts, order), where
+    ``order[starts[f]:starts[f + 1]]`` are the nonzeros of feature f in
+    ascending document id."""
+    starts = np.zeros(n_feats + 1, dtype=np.intp)
+    np.cumsum(np.bincount(features, minlength=n_feats), out=starts[1:])
+    return starts, np.argsort(features, kind="stable")
+
+
 def _no_positives(label: str) -> str:
     return f"category {label!r} has no positive training documents"
 
@@ -266,12 +284,20 @@ class NaiveBayesClassifier(TrainedClassifier):
 
 
 def _log_counts(counts: np.ndarray) -> np.ndarray:
-    """math.log(n + 1.0) of every class count, 0.0 where it is 0."""
-    out = np.zeros_like(counts)
-    seen = counts > 0
-    values, inverse = np.unique(counts[seen], return_inverse=True)
-    out[seen] = np.array([math.log(n + 1.0) for n in values.tolist()],
-                         dtype=np.float64)[inverse]
+    """math.log(n + 1.0) of every class count, 0.0 where it is 0.  The
+    counts are whole numbers; those below counts.size are looked up in a
+    table filled at the counts that occur, any larger ones go through
+    np.unique, so the table is never longer than `counts`."""
+    small = counts < counts.size
+    at = np.where(small, counts, 0).astype(np.intp)
+    occurring = np.flatnonzero(np.bincount(at.ravel())).tolist()
+    table = np.zeros(occurring[-1] + 1 if occurring else 1)
+    table[occurring] = [math.log(n + 1.0) for n in occurring]
+    out = table[at]
+    if not small.all():
+        values, inverse = np.unique(counts[~small], return_inverse=True)
+        out[~small] = np.array([math.log(n + 1.0) for n in values.tolist()],
+                               dtype=np.float64)[inverse]
     return out
 
 
@@ -412,46 +438,92 @@ class KnnClassifier(TrainedClassifier):
         self.k = k
 
     def _kernel(self, n, rows, ids, counts, weights):
-        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-        return np.array([self._query(ids[lo:hi], weights[lo:hi])
-                         for lo, hi in zip(bounds, bounds[1:])],
-                        dtype=np.float64).reshape(n, self.num_categories)
-
-    def _query(self, ids, w) -> list:
-        """Scores of one document's (feature ids, weights) per category."""
+        starts, order = _feature_major(self.view.features, self.num_features)
+        postings = (starts, self.view.rows[order], self.view.weights[order])
+        lengths = starts[ids + 1] - starts[ids]  # postings per query nonzero
+        blocks = _knn_blocks(rows, lengths, n, self.view.labels.shape[0])
         if self.masks is None:
-            return self._votes(*self._neighbors(ids, w, self.norms))
-        return [self._votes(*self._neighbors(ids, w * self.masks[c, ids],
-                                             self.norms[c]))[c]
-                for c in range(self.num_categories)]
+            columns = [(weights, self.norms, slice(None))]
+        else:  # one pass per category, keeping its own column
+            columns = [(weights * self.masks[c, ids], self.norms[c],
+                        slice(c, c + 1)) for c in range(self.num_categories)]
+        scores = np.empty((n, self.num_categories))
+        for w, norms, column in columns:
+            q_norms = np.sqrt(np.bincount(rows, weights=w * w, minlength=n))
+            for first, stop, lo, hi in blocks:
+                scores[first:stop, column] = self._block_votes(
+                    postings, rows[lo:hi] - first, ids[lo:hi], w[lo:hi],
+                    lengths[lo:hi], norms * q_norms[first:stop, None],
+                    self.view.labels[:, column])
+        return scores
 
-    def _neighbors(self, ids, w, norms):
-        """Top-k training docs by cosine similarity, ties to the lower id:
-        (doc ids, similarities) in that order."""
-        train = self.view
-        query = np.zeros(self.num_features)
-        query[ids] = w
-        dots = np.bincount(train.rows,
-                           weights=train.weights * query[train.features],
-                           minlength=len(norms))
-        denominators = norms * math.sqrt(_seq_sum(w * w))
-        sims = np.zeros(len(norms))
+    def _block_votes(self, postings, rows, ids, w, lengths, denominators,
+                     labels):
+        """Votes of a block of query rows: the dot products from one join of
+        their nonzeros with the postings, ascending feature id within a row,
+        then the top k by (-similarity, id)."""
+        starts, docs, values = postings
+        n_rows, n_train = denominators.shape
+        # where each joined posting sits in the postings arrays
+        at = (np.repeat(starts[ids] - (np.cumsum(lengths) - lengths), lengths)
+              + np.arange(int(lengths.sum())))
+        dots = np.bincount(np.repeat(rows * n_train, lengths) + docs[at],
+                           weights=values[at] * np.repeat(w, lengths),
+                           minlength=n_rows * n_train).reshape(n_rows, n_train)
+        sims = np.zeros(dots.shape)
         np.divide(dots, denominators, out=sims, where=denominators != 0.0)
-        k = min(self.k, len(sims))
-        if k < len(sims):
-            kth = np.partition(sims, len(sims) - k)[len(sims) - k]
-            candidates = np.flatnonzero(sims >= kth)
-        else:
-            candidates = np.arange(len(sims))
-        top = candidates[np.argsort(-sims[candidates], kind="stable")[:k]]
-        return top, sims[top]
+        k = min(self.k, n_train)
+        if k < n_train:  # every sim above the k-th, then its equals by id
+            kth = np.partition(sims, n_train - k, axis=1)[:, n_train - k, None]
+            above = sims > kth
+            ties = sims == kth
+            room = k - above.sum(axis=1, keepdims=True)
+            fits = np.cumsum(ties, axis=1, dtype=np.int32) <= room
+            chosen = above | (ties & fits)
+        else:  # every training document, NaN sims included
+            chosen = np.ones(sims.shape, dtype=bool)
+        rows_top, top_ids = np.nonzero(chosen)
+        # k per row, fewer in a row with NaN sims (from overflowing weights):
+        # its other slots hold sims of 0.0 after the rest, which leave its
+        # sums unchanged
+        n_top = np.bincount(rows_top, minlength=n_rows)
+        slots = (np.arange(len(rows_top))
+                 - np.repeat(np.cumsum(n_top) - n_top, n_top))
+        top = np.zeros((n_rows, k), dtype=np.intp)
+        top_sims = np.zeros((n_rows, k))
+        top[rows_top, slots] = top_ids
+        top_sims[rows_top, slots] = sims[rows_top, top_ids]
+        keys = np.where(np.arange(k) < n_top[:, None], -top_sims, np.inf)
+        order = np.argsort(keys, axis=1, kind="stable")
+        top = np.take_along_axis(top, order, axis=1)
+        top_sims = np.take_along_axis(top_sims, order, axis=1)
+        members = np.stack([_seq_sum(np.where(in_c[top], top_sims, 0.0))
+                            for in_c in labels.T], axis=1)
+        denom = _seq_sum(top_sims)[:, None]
+        votes = np.zeros(members.shape)  # 0.0 where the k sims sum to 0
+        np.divide(members, denom, out=votes, where=denom != 0.0)
+        return votes
 
-    def _votes(self, top, sims):
-        denom = _seq_sum(sims)
-        if denom == 0.0:
-            return [0.0] * self.num_categories
-        members = np.where(self.view.labels[top], sims[:, None], 0.0)
-        return (_seq_sum(members.T) / denom).tolist()
+
+#: the most similarities, and the most joined postings, one block of a kNN
+#: score_index call holds; a block has at least one row
+KNN_BLOCK_CELLS = 1 << 22
+
+
+def _knn_blocks(rows, lengths, n: int, n_train: int) -> list:
+    """(first row, stop row, first nonzero, stop nonzero) of each block."""
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    joined = np.concatenate(([0], np.cumsum(lengths)))[bounds]
+    cap = max(1, KNN_BLOCK_CELLS // n_train)
+    blocks = []
+    first = 0
+    while first < n:
+        fit = int(np.searchsorted(joined, joined[first] + KNN_BLOCK_CELLS,
+                                  side="right")) - 1
+        stop = max(first + 1, min(first + cap, fit))
+        blocks.append((first, stop, bounds[first], bounds[stop]))
+        first = stop
+    return blocks
 
 
 def _train_knn(learner, index: Index):
@@ -513,23 +585,30 @@ class BoostClassifier(TrainedClassifier):
         return scores
 
 
-def _stump(w0p, w0m, w1p, w1m, epsilon, log=math.log, exp=math.exp):
-    """(Z, c0, c1) of the real-valued stump on a feature, or on every
-    feature at once with numpy's log and exp."""
-    c0 = 0.5 * log((w0p + epsilon) / (w0m + epsilon))
-    c1 = 0.5 * log((w1p + epsilon) / (w1m + epsilon))
-    z = w0p * exp(-c0) + w0m * exp(c0) + w1p * exp(-c1) + w1m * exp(c1)
+def _stump(w0p, w0m, w1p, w1m, epsilon):
+    """(Z, c0, c1) of the real-valued stump on a feature."""
+    c0 = 0.5 * math.log((w0p + epsilon) / (w0m + epsilon))
+    c1 = 0.5 * math.log((w1p + epsilon) / (w1m + epsilon))
+    z = (w0p * math.exp(-c0) + w0m * math.exp(c0)
+         + w1p * math.exp(-c1) + w1m * math.exp(c1))
     return z, c0, c1
 
 
 def _best_stump(w0p, w0m, w1p, w1m, epsilon, candidates):
-    """(Z, fID, c0, c1) of the candidate feature minimizing Z, lowest id
-    first among equals.  Z is computed for every feature with numpy; the
-    few within rounding of the minimum are then compared by the exact
-    scalar Z, so the choice equals a scalar loop's."""
-    z = _stump(w0p, w0m, w1p, w1m, epsilon, np.log, np.exp)[0][candidates]
+    """(Z, fID, c0, c1) of the candidate feature (every one when
+    `candidates` is None) minimizing Z, lowest id first among equals.  Z is
+    screened for every feature with numpy, as w+ r + w- / r with
+    r = exp(-c) = sqrt((w- + epsilon) / (w+ + epsilon)); the few within
+    rounding of the minimum are then compared by the exact scalar Z, so the
+    choice equals a scalar loop's."""
+    r0 = np.sqrt((w0m + epsilon) / (w0p + epsilon))
+    r1 = np.sqrt((w1m + epsilon) / (w1p + epsilon))
+    z = w0p * r0 + w0m / r0 + w1p * r1 + w1m / r1
+    if candidates is not None:
+        z = z[candidates]
+    near = np.flatnonzero(z <= z.min() * (1.0 + 1e-9))
     best = None
-    for f in candidates[z <= z.min() * (1.0 + 1e-9)].tolist():
+    for f in (near if candidates is None else candidates[near]).tolist():
         z_f, c0, c1 = _stump(float(w0p[f]), float(w0m[f]),
                              float(w1p[f]), float(w1m[f]), epsilon)
         if best is None or z_f < best[0]:
@@ -543,6 +622,8 @@ def _train_boost(learner, index: Index):
     view = index.arrays()
     n_docs, n_feats = index.num_documents, index.num_features
     features = view.features.astype(np.intp)
+    starts, order = _feature_major(features, n_feats)
+    docs = view.rows[order]
     epsilon = 1.0 / n_docs
     all_rounds = []
     all_z = []
@@ -554,12 +635,16 @@ def _train_boost(learner, index: Index):
             all_rounds.append(None)
             all_z.append([])
             continue
-        candidates = (np.arange(n_feats) if masks is None
-                      else np.flatnonzero(masks[c]))
-        if not len(candidates):
+        candidates = None if masks is None else np.flatnonzero(masks[c])
+        if not n_feats or (candidates is not None and not len(candidates)):
             raise ValidationError(
                 f"category {labels[c]!r} has no features to boost on")
+        # the nonzeros split by class, each in CSR order
         positive_nz = positive[view.rows]
+        pos_features, pos_docs = (features[positive_nz],
+                                  view.rows[positive_nz])
+        neg_features, neg_docs = (features[~positive_nz],
+                                  view.rows[~positive_nz])
         weights = np.full(n_docs, 1.0 / n_docs)
         rounds = []
         z_values = []
@@ -568,17 +653,16 @@ def _train_boost(learner, index: Index):
             w_neg_total = float(_seq_sum(weights[~positive]))
             # W+ and W- of every feature; bincount adds in CSR order, so
             # each feature's sum runs in ascending document id
-            w_nz = weights[view.rows]
-            w1p = np.bincount(features, np.where(positive_nz, w_nz, 0.0),
+            w1p = np.bincount(pos_features, weights[pos_docs],
                               minlength=n_feats)
-            w1m = np.bincount(features, np.where(positive_nz, 0.0, w_nz),
+            w1m = np.bincount(neg_features, weights[neg_docs],
                               minlength=n_feats)
             z, f, c0, c1 = _best_stump(w_pos_total - w1p, w_neg_total - w1m,
                                        w1p, w1m, epsilon, candidates)
             rounds.append((f, c0, c1))
             z_values.append(z)
             present = np.zeros(n_docs, dtype=bool)
-            present[view.rows[features == f]] = True
+            present[docs[starts[f]:starts[f + 1]]] = True
             factor = np.where(
                 present,
                 np.where(positive, math.exp(-c1), math.exp(c1)),
