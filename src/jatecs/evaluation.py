@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .sums import seq_sum
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,10 @@ def micro_macro(table_set: ContingencyTableSet) -> dict:
         "microR": micro_r,
         "microF1": micro_f1,
         "microAcc": micro_acc,
-        "macroP": sum(m[0] for m in per_cat) / k,
-        "macroR": sum(m[1] for m in per_cat) / k,
-        "macroF1": sum(m[2] for m in per_cat) / k,
-        "macroAcc": sum(m[3] for m in per_cat) / k,
+        "macroP": seq_sum([m[0] for m in per_cat]) / k,
+        "macroR": seq_sum([m[1] for m in per_cat]) / k,
+        "macroF1": seq_sum([m[2] for m in per_cat]) / k,
+        "macroAcc": seq_sum([m[3] for m in per_cat]) / k,
     }
 
 

@@ -19,9 +19,10 @@ matrix.  With nnz the training nonzeros and n those of the scored documents:
            postings once per call, O(nnz log D), then takes the query rows
            in blocks of at most KNN_BLOCK_CELLS similarities and joined
            postings: one bincount over the block's postings join gives the
-           dot products, a partition per row the k nearest.  A single
-           score_document call builds the postings too, so it costs
-           O(nnz log D) rather than a scan's O(nnz)
+           dot products, a partition per row the k nearest, and row sums
+           over those, sorted once by (row, -similarity, id), the votes.
+           A single score_document call builds the postings too, so it
+           costs O(nnz log D) rather than a scan's O(nnz)
   boost    each category's nonzeros are split by class once; a round is one
            weighted bincount over each class's nonzeros (W+ and W- of every
            feature) and an argmin of Z over the features, and the chosen
@@ -30,8 +31,9 @@ matrix.  With nnz the training nonzeros and n those of the scored documents:
            presence
 
 Sums behind a score run left to right in ascending id, the order of a scalar
-loop, so interleaved zeros leave them unchanged and ties go to the lower id.
-Logarithms and exponentials that end up in a model are taken with
+loop, through :mod:`jatecs.sums` (or a weighted bincount, which adds in the
+same order), so interleaved zeros leave them unchanged and ties go to the
+lower id.  Logarithms and exponentials that end up in a model are taken with
 :mod:`math`: numpy's vectorized ones can differ from them in the last bit.
 
 A trained classifier can score any index sharing the training feature space;
@@ -52,6 +54,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .index import Index
+from .sums import row_sums, seq_sum
 
 #: score emitted for categories that could not be trained (no positives)
 MIN_SCORE = -1e300
@@ -221,21 +224,6 @@ class TrainedClassifier:
                 view.weights[nz][keep])
 
 
-def _seq_sum(values: np.ndarray) -> np.ndarray:
-    """Left-to-right sums along the last axis, the order of a scalar loop."""
-    if values.shape[-1] == 0:
-        return np.zeros(values.shape[:-1])
-    return np.cumsum(values, axis=-1)[..., -1]
-
-
-def _row_sums(rows, terms, n_rows: int, start=-0.0) -> np.ndarray:
-    """Per row, `start` plus its terms left to right in input order; with
-    -0.0, the identity of addition, a nonempty row sums as _seq_sum does."""
-    sums = np.full(n_rows, start)
-    np.add.at(sums, rows, terms)
-    return sums
-
-
 def _feature_masks(index: Index):
     """C x F validity of a local domain; None for a global one."""
     if not index.domain.local:
@@ -278,7 +266,7 @@ class NaiveBayesClassifier(TrainedClassifier):
         # each row's sum starts from the prior log-odds
         return np.stack([
             np.full(n, fixed) if fixed is not None
-            else _row_sums(rows, counts * delta[ids], n, start=prior)
+            else row_sums(rows, counts * delta[ids], n, start=prior)
             for prior, delta, fixed in zip(self.log_odds, self.deltas,
                                            self.fixed)], axis=1)
 
@@ -374,12 +362,12 @@ class RocchioClassifier(TrainedClassifier):
 
     def _kernel(self, n, rows, ids, counts, weights):
         squares = weights * weights
-        dots = np.stack([_row_sums(rows, profile[ids] * weights, n)
+        dots = np.stack([row_sums(rows, profile[ids] * weights, n)
                          for profile in self.profile_matrix], axis=1)
         if self.masks is None:
-            v_norms = np.sqrt(_row_sums(rows, squares, n))[:, None]
+            v_norms = np.sqrt(row_sums(rows, squares, n))[:, None]
         else:
-            v_norms = np.sqrt(np.stack([_row_sums(rows, mask[ids] * squares, n)
+            v_norms = np.sqrt(np.stack([row_sums(rows, mask[ids] * squares, n)
                                         for mask in self.masks], axis=1))
         norms = np.asarray(self.norms)
         scores = np.zeros(dots.shape)
@@ -417,7 +405,7 @@ def _train_rocchio(learner, index: Index):
             profile[~masks[c]] = 0.0
         profile[~(profile > 0.0)] = 0.0
         profiles[c] = profile
-        norms.append(math.sqrt(_seq_sum(profile * profile)))
+        norms.append(math.sqrt(seq_sum(profile * profile)))
     return RocchioClassifier(labels, index.num_features, profiles, norms,
                              trained, learner.threshold, masks=masks,
                              warnings=warnings)
@@ -483,23 +471,17 @@ class KnnClassifier(TrainedClassifier):
         else:  # every training document, NaN sims included
             chosen = np.ones(sims.shape, dtype=bool)
         rows_top, top_ids = np.nonzero(chosen)
-        # k per row, fewer in a row with NaN sims (from overflowing weights):
-        # its other slots hold sims of 0.0 after the rest, which leave its
-        # sums unchanged
-        n_top = np.bincount(rows_top, minlength=n_rows)
-        slots = (np.arange(len(rows_top))
-                 - np.repeat(np.cumsum(n_top) - n_top, n_top))
-        top = np.zeros((n_rows, k), dtype=np.intp)
-        top_sims = np.zeros((n_rows, k))
-        top[rows_top, slots] = top_ids
-        top_sims[rows_top, slots] = sims[rows_top, top_ids]
-        keys = np.where(np.arange(k) < n_top[:, None], -top_sims, np.inf)
-        order = np.argsort(keys, axis=1, kind="stable")
-        top = np.take_along_axis(top, order, axis=1)
-        top_sims = np.take_along_axis(top_sims, order, axis=1)
-        members = np.stack([_seq_sum(np.where(in_c[top], top_sims, 0.0))
-                            for in_c in labels.T], axis=1)
-        denom = _seq_sum(top_sims)[:, None]
+        # each row's neighbours by (-similarity, id), as lexsort keeps the
+        # ascending ids of equal sims; NaN sims (from overflowing weights)
+        # come last and make their row's votes NaN
+        top_sims = sims[rows_top, top_ids]
+        order = np.lexsort((-top_sims, rows_top))
+        rows_top, top_ids, top_sims = (rows_top[order], top_ids[order],
+                                       top_sims[order])
+        members = row_sums(rows_top,
+                           np.where(labels[top_ids], top_sims[:, None], 0.0),
+                           n_rows)
+        denom = row_sums(rows_top, top_sims, n_rows)[:, None]
         votes = np.zeros(members.shape)  # 0.0 where the k sims sum to 0
         np.divide(members, denom, out=votes, where=denom != 0.0)
         return votes
@@ -649,8 +631,8 @@ def _train_boost(learner, index: Index):
         rounds = []
         z_values = []
         for _ in range(learner.iterations):
-            w_pos_total = float(_seq_sum(weights[positive]))
-            w_neg_total = float(_seq_sum(weights[~positive]))
+            w_pos_total = seq_sum(weights[positive])
+            w_neg_total = seq_sum(weights[~positive])
             # W+ and W- of every feature; bincount adds in CSR order, so
             # each feature's sum runs in ascending document id
             w1p = np.bincount(pos_features, weights[pos_docs],

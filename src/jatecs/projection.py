@@ -58,6 +58,8 @@ def build_projection(index: Index, kind: str, dim: int, nonzeros: int = 0,
         raise ValidationError("projection dim must be >= 1")
     if kind not in KINDS:
         raise ValidationError(f"unknown projection kind {kind!r}")
+    if nonzeros < 0:
+        raise ValidationError("nonzeros must be >= 0")
     if kind in (RANDOM_INDEXING, LIGHTWEIGHT_RI):
         if nonzeros < 1:
             raise ValidationError("nonzeros must be >= 1")

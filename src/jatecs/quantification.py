@@ -26,6 +26,7 @@ from .errors import ValidationError
 from .experiments import SIMPLE, STRATIFIED, fold_splits, make_folds
 from .index import Index, subset_index  # bench/tracing.py rebinds it
 from .learners import TrainedClassifier, train
+from .sums import seq_sum
 
 QUANTIFIERS = ("CC", "ACC", "MAX", "PCC", "PACC", "PMAX")
 
@@ -171,7 +172,7 @@ def _mean_where(values, labels, label: bool) -> float:
     """Mean of the values whose label is `label`, summed left to right; 0.0
     when there are none."""
     picked = [v for v, y in zip(values, labels) if y == label]
-    return sum(picked) / len(picked) if picked else 0.0
+    return seq_sum(picked) / len(picked) if picked else 0.0
 
 
 def _clip(p: float) -> float:
@@ -216,7 +217,7 @@ def quantify(pool: QuantifierPool, test: Index) -> PrevalenceEstimate:
         rates = pool.rates[c]
         scaled = [scale_score(pool.scaling, s) for s in scores[:, c].tolist()]
         cc = decided[c] / n_docs
-        pcc = sum(scaled) / n_docs
+        pcc = seq_sum(scaled) / n_docs
         estimates["CC"][c] = _clip(cc)
         estimates["PCC"][c] = _clip(pcc)
         estimates["ACC"][c] = _corrected(cc, rates.tpr, rates.fpr)
@@ -265,7 +266,7 @@ def evaluate_quantification(estimates: PrevalenceEstimate,
             rows.append((name, c, p_hat, p, ae, ae / max(p, eps),
                          smoothed_kld(p_hat, p, eps)))
     n_cats = max(1, len(true_prevalences))
-    means = {name: {key: sum(r[i] for r in rows if r[0] == name) / n_cats
+    means = {name: {key: seq_sum([r[i] for r in rows if r[0] == name]) / n_cats
                     for i, key in ((4, "AE"), (5, "RAE"), (6, "KLD"))}
              for name in estimates.estimates}
     return QuantificationReport(rows=tuple(rows), means=means)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .index import Index
+from .sums import row_sums
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -61,9 +62,7 @@ def tfidf_normalized(index: Index) -> Index:
     idf = np.array([math.log(stats.n / df) if df else 0.0
                     for df in stats.df.values()])
     weights = view.counts * idf[view.features]
-    # each norm sums its document's squares left to right, as sum() does
-    squares, bounds = (weights * weights).tolist(), view.indptr.tolist()
-    norms = [math.sqrt(sum(squares[i:j])) for i, j in zip(bounds, bounds[1:])]
+    norms = np.sqrt(row_sums(view.rows, weights * weights, stats.n, start=0.0))
     scale = np.repeat(norms, np.diff(view.indptr))
     np.divide(weights, scale, out=weights, where=scale > 0.0)
     return index.with_weight_values(weights)

@@ -26,6 +26,13 @@ def reference_ranking(scores):
             sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
+def _loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_global(index, per_cat, policy):
     d_total = index.num_documents
     combined = {}
@@ -33,9 +40,9 @@ def reference_global(index, per_cat, policy):
         if policy == "max":
             combined[f] = max(per_cat[c][f] for c in per_cat)
         elif policy == "sum":
-            combined[f] = sum(per_cat[c][f] for c in per_cat)
+            combined[f] = _loop_sum(per_cat[c][f] for c in per_cat)
         else:
-            combined[f] = sum(
+            combined[f] = _loop_sum(
                 (len(index.category_documents(c)) / d_total) * per_cat[c][f]
                 for c in per_cat)
     return reference_ranking(combined)

@@ -19,7 +19,10 @@ def reference_tfidf(index):
         row = {}
         for f, tf in index.document_features(d).items():
             row[f] = tf * math.log(n / index.document_frequency(f))
-        norm = math.sqrt(sum(w * w for w in row.values()))
+        norm = 0.0
+        for w in row.values():
+            norm += w * w
+        norm = math.sqrt(norm)
         if norm > 0.0:
             row = {f: w / norm for f, w in row.items()}
         weights[d] = row
