@@ -24,6 +24,7 @@ import argparse
 import logging
 import os
 import sys
+import warnings
 
 from . import weighting
 from .corpus import (READERS, documents_to_index, numbered_lines,
@@ -59,6 +60,13 @@ class _WarningLines(logging.Handler):
 
 
 _WARNINGS = _WarningLines(logging.WARNING)
+
+
+def _log_warning(message, category, filename, lineno, file=None, line=None):
+    """`warnings.showwarning` while a command runs: a Python warning (say,
+    numpy's overflow RuntimeWarning) goes to the log like any other."""
+    log.warning("%s", message)
+
 
 _FUNC_NAMES = {"ig": "IG", "chi2": "Chi2", "pmi": "PMI", "or": "OddsRatio"}
 _KIND_NAMES = {"ri": "RandomIndexing", "lri": "LightweightRI",
@@ -328,13 +336,17 @@ def _learner_from(opts):
     return make_learner(opts["learner"], **_parse_params(opts.get("param")))
 
 
-def _write_tsv(path, rows) -> None:
+def _write_text(path, text: str) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join("\t".join(str(x) for x in row) + "\n"
-                         for row in rows))
+        fh.write(text)
+
+
+def _write_tsv(path, rows) -> None:
+    _write_text(path, "".join("\t".join(map(str, row)) + "\n"
+                              for row in rows))
 
 
 def _index_corpus(opts, input_path, extractor):
@@ -423,8 +435,8 @@ def _classify_stage(opts, classifier, index) -> dict:
     predictions, scores = classify_index(classifier, index)
     _write_tsv(opts["out"], ((d, c) for d, cs in predictions.items()
                              for c in cs))
-    _write_tsv(_scores_path(opts["out"]), (
-        (d, c, repr(score)) for d, row in enumerate(scores.tolist())
+    _write_text(_scores_path(opts["out"]), "".join(
+        f"{d}\t{c}\t{score!r}\n" for d, row in enumerate(scores.tolist())
         for c, score in enumerate(row)))
     print(f"classified D={index.num_documents} -> {opts['out']}")
     return predictions
@@ -694,7 +706,9 @@ def main(argv=None) -> int:
             parser.print_help()
             return EXIT_USAGE
         opts = _options(parser, args)
-        return _HANDLERS[args.command](opts)
+        with warnings.catch_warnings():
+            warnings.showwarning = _log_warning
+            return _HANDLERS[args.command](opts)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,10 +21,12 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .sums import row_sums
 
 #: dense IDs are 32-bit non-negative ints; documented capacity limit
 MAX_ID = 2**31 - 1
@@ -413,27 +415,121 @@ def build_index(docs, labels, categories) -> Index:
     labels: list of (docName, [categoryLabel]) pairs.
     categories: the category label universe, ids assigned in list order.
 
-    IDs are assigned in first-seen order starting at 0.  Repeated feature
-    entries within a document are aggregated.  The weighting relation starts
-    out as raw frequencies so an unweighted index is still classifiable.
+    IDs are assigned in first-seen order starting at 0.  Entries repeated
+    within a document are aggregated: their counts add up, and their
+    weights add left to right in input order onto 0.0 (so a lone -0.0
+    weight is stored as 0.0).  The weighting relation starts out as raw
+    frequencies so an unweighted index is still classifiable.
+
+    The entries are checked and aggregated in bulk.  Where a bulk check
+    fails, or the counts are too large to add up exactly in float64,
+    :func:`_build_entry_by_entry` builds the index instead, and raises the
+    error of the first bad entry.
     """
     cat_db = ConceptDb(categories, kind="category")
-    doc_names = []
-    seen_docs = set()
+    labels = list(labels)
+    names, ends, entries = [], [], []
+    for name, feats in docs:
+        names.append(name)
+        entries.extend(feats)
+        ends.append(len(entries))
+    checked = _checked_entries(names, entries)
+    if checked is None:
+        return _build_entry_by_entry(cat_db, names, ends, entries, labels)
+    doc_db, feat_db, features, counts, weights = checked
+    label_matrix = _label_matrix(labels, doc_db, cat_db)
+    rows = np.repeat(np.arange(len(names)),
+                     np.diff(np.array(ends, dtype=np.int64), prepend=0))
+    keys = rows * len(feat_db) + features
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    group = np.cumsum(first) - 1  # of each entry, in (document, feature) order
+    n_groups = int(first.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        weights = row_sums(group, weights[order], n_groups, start=0.0)
+    if not np.isfinite(weights).all():
+        return _build_entry_by_entry(cat_db, names, ends, entries, labels)
+    arrays = _csr(len(names), rows[order][first], features[order][first],
+                  np.bincount(group, counts[order], n_groups), weights,
+                  label_matrix)
+    return Index._from_arrays(cat_db, feat_db, doc_db, arrays,
+                              _frozen(np.ones(n_groups, dtype=bool)),
+                              GLOBAL_DOMAIN)
+
+
+def _checked_entries(names, entries):
+    """The document and feature tables, and the feature ids, counts and
+    weights (float64) of `entries` in input order; None where a name, an
+    entry or a count fails a check, or the counts add up to 2**52 or more,
+    beyond which float64 sums of them may round."""
+    try:
+        if not set(map(type, entries)) <= {tuple, list}:
+            return None
+        sizes = np.fromiter(map(len, entries), np.int64, len(entries))
+        if not np.isin(sizes, (2, 3)).all():
+            return None
+        doc_db = ConceptDb(names, kind="document")
+        texts = list(map(itemgetter(0), entries))
+        feat_db = ConceptDb(dict.fromkeys(texts), kind="feature")
+        given = list(map(itemgetter(1), entries))
+        if not set(map(type, given)) <= {int, float}:
+            return None
+        counts = np.array(given, dtype=np.float64)
+        if not ((counts > 0).all() and (np.floor(counts) == counts).all()
+                and counts.sum() < 2**52):
+            return None
+        weights = counts.copy()
+        explicit = [(i, w) for i in np.flatnonzero(sizes == 3).tolist()
+                    if (w := entries[i][2]) is not None]
+        if explicit:
+            at, values = zip(*explicit)
+            weights[list(at)] = list(map(float, values))
+    except (ValidationError, TypeError, ValueError, OverflowError):
+        return None
+    features = np.fromiter(map(feat_db._ids.__getitem__, texts), np.int64,
+                           len(texts))
+    return doc_db, feat_db, features, counts, weights
+
+
+def _label_matrix(labels, doc_db: ConceptDb, cat_db: ConceptDb) -> np.ndarray:
+    """The D x C classification matrix of (docName, [categoryLabel]) pairs."""
+    d_ids, c_ids = [], []
+    seen = set()
+    for name, cats in labels:
+        if name not in doc_db:
+            raise ValidationError(f"labels reference unknown document {name!r}")
+        if name in seen:
+            raise ValidationError(f"duplicate label entry for document {name!r}")
+        seen.add(name)
+        row = [cat_db.id(label) for label in cats]  # unknown: ValidationError
+        d_ids += [doc_db.id(name)] * len(row)
+        c_ids += row
+    matrix = np.zeros((len(doc_db), len(cat_db)), dtype=bool)
+    matrix[d_ids, c_ids] = True
+    return matrix
+
+
+def _build_entry_by_entry(cat_db, names, ends, entries, labels) -> Index:
+    """:func:`build_index` one entry at a time, checking each as it comes:
+    the first bad entry in input order raises its error.  Counts add up as
+    Python numbers, so this is also the build of counts too large for the
+    bulk path."""
     feature_names: list = []
     feature_ids: dict = {}
     content: dict = {}
     weights: dict = {}
-    for name, feats in docs:
+    seen_docs = set()
+    start = 0
+    for d, (name, stop) in enumerate(zip(names, ends)):
         _check_name("document", name)
         if name in seen_docs:
             raise ValidationError(f"duplicate docName {name!r}")
         seen_docs.add(name)
-        d = len(doc_names)
-        doc_names.append(name)
         row: dict = {}
         wrow: dict = {}
-        for entry in feats:
+        for entry in entries[start:stop]:
             if len(entry) == 3:
                 text, count, weight = entry
             else:
@@ -456,27 +552,13 @@ def build_index(docs, labels, categories) -> Index:
             wrow[f] = wrow.get(f, 0.0) + w
         content[d] = row
         weights[d] = wrow
-    doc_db = ConceptDb(doc_names, kind="document")
-    feat_db = ConceptDb(feature_names, kind="feature")
-
-    classification: dict = {}
-    seen_label_docs = set()
-    for name, cats in labels:
-        if name not in doc_db:
-            raise ValidationError(f"labels reference unknown document {name!r}")
-        if name in seen_label_docs:
-            raise ValidationError(f"duplicate label entry for document {name!r}")
-        seen_label_docs.add(name)
-        d = doc_db.id(name)
-        c_ids = []
-        for label in cats:
-            if label not in cat_db:
-                raise ValidationError(f"unknown category {label!r}")
-            c = cat_db.id(label)
-            if c not in c_ids:
-                c_ids.append(c)
-        classification[d] = c_ids
-    return Index(cat_db, feat_db, doc_db, content, classification, weights)
+        start = stop
+    doc_db = ConceptDb(names, kind="document")
+    matrix = _label_matrix(labels, doc_db, cat_db)
+    classification = {d: np.flatnonzero(cats).tolist()
+                      for d, cats in enumerate(matrix)}
+    return Index(cat_db, ConceptDb(feature_names, kind="feature"), doc_db,
+                 content, classification, weights)
 
 
 def query_document_features(index: Index, d_id: int):
@@ -552,8 +634,13 @@ def _renumbered(old_ids, n) -> np.ndarray:
 #
 # An index directory holds UTF-8, LF-terminated, tab-separated files.  The
 # layout is stable and sorted so that serializing the same index twice (or a
-# deserialized copy of it) produces byte-identical files.  Each file is
-# encoded with one join and decoded with one read and, for the numeric
+# deserialized copy of it) produces byte-identical files.  The numeric
+# relations are encoded from the index arrays in bulk, one %-format per
+# chunk of rows: "%d" writes an int as str() does and "%r" a float as
+# repr() does, so the bytes are those of one f-string per row.  A weighting
+# relation that is exactly the counts is the content text with ".0" before
+# each newline, since repr(float(n)) == f"{n}.0" for every integer
+# 0 < n <= 2**53.  Each file is decoded with one read and, for the numeric
 # relations, one numpy parse of all its rows.  Blank lines are skipped.  A
 # malformed row (wrong field count, non-numeric field, unknown id,
 # duplicate key) is a ParseError naming its line; the line is looked up only
@@ -561,12 +648,38 @@ def _renumbered(old_ids, n) -> np.ndarray:
 
 FORMAT_VERSION = 1
 
+#: rows per %-format when encoding a relation; bounds the size of the
+#: format string and of the tuple of cells it formats
+_ENCODE_CHUNK_ROWS = 2**16
+
+
+def _format_rows(row_format: str, *columns) -> str:
+    """One `row_format` line per row of the equal-length `columns`."""
+    width = len(columns)
+    n = len(columns[0])
+    text = []
+    for start in range(0, n, _ENCODE_CHUNK_ROWS):
+        stop = min(start + _ENCODE_CHUNK_ROWS, n)
+        cells = [None] * ((stop - start) * width)
+        for j, column in enumerate(columns):
+            cells[j::width] = column[start:stop].tolist()
+        text.append(row_format * (stop - start) % tuple(cells))
+    return "".join(text)
+
 
 def index_file_map(index: Index) -> dict:
     """The serialized form as {filename: bytes}."""
     def concepts(db):
         return "".join(f"{i}\t{name}\n" for i, name in db)
 
+    a, weighted = index.arrays(), index._weighted
+    content = _format_rows("%d\t%d\t%d\n", a.rows, a.features, a.counts)
+    if (weighted.all() and (not a.counts.size or a.counts.max() <= 2**53)
+            and np.array_equal(a.weights, a.counts)):
+        weights = content.replace("\n", ".0\n")
+    else:
+        weights = _format_rows("%d\t%d\t%r\n", a.rows[weighted],
+                               a.features[weighted], a.weights[weighted])
     meta = (("format_version", FORMAT_VERSION),
             ("documents", index.num_documents),
             ("features", index.num_features),
@@ -576,12 +689,10 @@ def index_file_map(index: Index) -> dict:
         "categories.tsv": concepts(index.categories),
         "features.tsv": concepts(index.features),
         "documents.tsv": concepts(index.documents),
-        "content.tsv": "".join(f"{d}\t{f}\t{n}\n"
-                               for d, f, n in index.content_items()),
-        "classification.tsv": "".join(f"{d}\t{c}\n" for d, c
-                                      in index.classification_items()),
-        "weights.tsv": "".join(f"{d}\t{f}\t{w!r}\n"
-                               for d, f, w in index.weight_items()),
+        "content.tsv": content,
+        "classification.tsv": _format_rows("%d\t%d\n",
+                                           *np.nonzero(a.labels)),
+        "weights.tsv": weights,
     }
     if index.domain.local:
         pairs = sorted((f, c) for c, fs in index.domain.valid.items() for f in fs)

@@ -53,7 +53,11 @@ def _signed_values(nonzeros: int, rng: SplitMix64) -> list:
 
 def build_projection(index: Index, kind: str, dim: int, nonzeros: int = 0,
                      seed: int = 0) -> ProjectionModel:
-    """One index vector per feature of `index`, deterministic given seed."""
+    """One index vector per feature of `index`, deterministic given seed.
+
+    `nonzeros` is the count of nonzero entries per vector of the random
+    indexing kinds; an Achlioptas model has none fixed and records 0.
+    """
     if dim < 1:
         raise ValidationError("projection dim must be >= 1")
     if kind not in KINDS:
@@ -65,6 +69,8 @@ def build_projection(index: Index, kind: str, dim: int, nonzeros: int = 0,
             raise ValidationError("nonzeros must be >= 1")
         if nonzeros > dim:
             raise ValidationError("nonzeros cannot exceed dim")
+    else:
+        nonzeros = 0  # an Achlioptas vector has no fixed count of nonzeros
     num_features = index.num_features
     vectors = []
     next_slot = 0  # lightweight variant: rotating dimension cursor
