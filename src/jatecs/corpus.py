@@ -16,7 +16,11 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
-from .index import Index, build_index
+from .index import Index, _check_name, build_index
+
+# counts are stored as int64, so a value whose ceiling is a count must be
+# below this
+_COUNT_LIMIT = 2**63
 
 # the surrogateescape handler decodes an undecodable byte to U+DC80-U+DCFF
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -56,6 +60,15 @@ class SparseInstance:
     pairs: tuple
 
 
+def _check_name_at(path, line_no, kind, name) -> None:
+    """An empty name, or one holding a tab or newline, is a ParseError on
+    its line."""
+    try:
+        _check_name(kind, name)
+    except ValidationError as exc:
+        raise ParseError(path, line_no, str(exc)) from None
+
+
 def _check_labels(path, line_no, labels, categories) -> None:
     """A label outside `categories`, if given, is a ParseError on its line."""
     if categories is not None:
@@ -72,6 +85,7 @@ def read_category_file(path) -> list:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        _check_name_at(path, line_no, "category", line)
         if line in seen:
             raise ParseError(path, line_no, f"duplicate label {line!r}")
         seen.add(line)
@@ -170,11 +184,12 @@ def read_csv(path, separator="\t", categories=None) -> list:
 
     The text field is the unescaped remainder of the line after the second
     separator, so it may itself contain the separator.  The labels field may
-    be empty.
+    be empty.  Document names must be unique.
     """
     if len(separator) != 1:
         raise ValidationError("CSV separator must be a single character")
     docs = []
+    seen = set()
     for line_no, line in numbered_lines(path):
         if line == "":
             continue
@@ -183,8 +198,10 @@ def read_csv(path, separator="\t", categories=None) -> list:
             raise ParseError(path, line_no, "missing text field "
                              f"(expected 3 {separator!r}-separated fields)")
         name, label_field, text = parts
-        if not name:
-            raise ParseError(path, line_no, "empty document name")
+        _check_name_at(path, line_no, "document", name)
+        if name in seen:
+            raise ParseError(path, line_no, f"duplicate docName {name!r}")
+        seen.add(name)
         labels = tuple(t for t in label_field.split(",") if t)
         _check_labels(path, line_no, labels, categories)
         docs.append(RawDocument(name=name, text=text, labels=labels))
@@ -307,6 +324,9 @@ def _row_to_document(path, line_no, attributes, class_idx, values, ordinal):
             except ValueError:
                 raise ParseError(path, line_no,
                                  f"unparsable numeric value {raw!r}") from None
+            if v >= _COUNT_LIMIT:
+                raise ParseError(path, line_no,
+                                 f"numeric value {raw!r} too large for a count")
             if v != 0.0:
                 # the value acts as the weight; occurrences are its ceiling
                 features.append((attr.name, max(1, math.ceil(v)), v))
@@ -394,9 +414,17 @@ def read_arff(path, categories=None):
 
 
 def instances_to_documents(instances) -> list:
-    """LibSVM instances as documents: feature text is the 1-based index."""
+    """LibSVM instances as documents: feature text is the 1-based index.
+
+    A value acts as the weight and its ceiling, at least 1, as the count; a
+    value of 2**63 or more is a ValidationError.
+    """
     docs = []
     for i, inst in enumerate(instances):
+        for idx, v in inst.pairs:
+            if v >= _COUNT_LIMIT:
+                raise ValidationError(f"document 'doc{i}' feature {idx}: "
+                                      f"value {v!r} too large for a count")
         feats = tuple((str(idx), max(1, math.ceil(v)), v)
                       for idx, v in inst.pairs if v != 0.0)
         docs.append(RawDocument(name=f"doc{i}", text="", labels=inst.labels,

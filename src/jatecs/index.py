@@ -416,15 +416,14 @@ def build_index(docs, labels, categories) -> Index:
     categories: the category label universe, ids assigned in list order.
 
     IDs are assigned in first-seen order starting at 0.  Entries repeated
-    within a document are aggregated: their counts add up, and their
-    weights add left to right in input order onto 0.0 (so a lone -0.0
+    within a document are aggregated: their counts add up as Python numbers
+    in input order from 0 (int64; 2**63 or more is an OverflowError), and
+    their weights add left to right in input order onto 0.0 (so a lone -0.0
     weight is stored as 0.0).  The weighting relation starts out as raw
     frequencies so an unweighted index is still classifiable.
 
-    The entries are checked and aggregated in bulk.  Where a bulk check
-    fails, or the counts are too large to add up exactly in float64,
-    :func:`_build_entry_by_entry` builds the index instead, and raises the
-    error of the first bad entry.
+    Every valid input takes one bulk build; where a bulk check fails,
+    :func:`_raise_first_bad_entry` raises the first bad entry's error.
     """
     cat_db = ConceptDb(categories, kind="category")
     labels = list(labels)
@@ -433,64 +432,72 @@ def build_index(docs, labels, categories) -> Index:
         names.append(name)
         entries.extend(feats)
         ends.append(len(entries))
-    checked = _checked_entries(names, entries)
-    if checked is None:
-        return _build_entry_by_entry(cat_db, names, ends, entries, labels)
-    doc_db, feat_db, features, counts, weights = checked
+    doc_db, feat_db, texts, given, counts, weights = (
+        _checked_entries(names, entries)
+        or _walked_entries(names, ends, entries))
     label_matrix = _label_matrix(labels, doc_db, cat_db)
+    if counts is None:  # the exact conversion; 2**63 or more: OverflowError
+        counts = np.array(given, dtype=np.int64)
+    features = np.fromiter(map(feat_db._ids.__getitem__, texts), np.int64,
+                           len(texts))
     rows = np.repeat(np.arange(len(names)),
                      np.diff(np.array(ends, dtype=np.int64), prepend=0))
     keys = rows * len(feat_db) + features
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    first = np.diff(keys[order], prepend=-1) != 0  # keys are >= 0
     group = np.cumsum(first) - 1  # of each entry, in (document, feature) order
-    n_groups = int(first.sum())
-    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        weights = row_sums(group, weights[order], n_groups, start=0.0)
-    if not np.isfinite(weights).all():
-        return _build_entry_by_entry(cat_db, names, ends, entries, labels)
-    arrays = _csr(len(names), rows[order][first], features[order][first],
-                  np.bincount(group, counts[order], n_groups), weights,
+    at = order[first]  # the input position of each group's first entry
+    counts = counts[at]
+    totals: dict = {}  # repeated groups: a float64 sum or sum() may round
+    repeated = (np.bincount(group) > 1)[group]
+    for g, i in zip(group[repeated].tolist(), order[repeated].tolist()):
+        totals[g] = totals.get(g, 0) + given[i]
+    counts[list(totals)] = list(totals.values())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        weights = row_sums(group, weights[order], len(at), start=0.0)
+    for bad, error in ((counts <= 0, "content entry {}: non-positive count"),
+                       (~np.isfinite(weights),
+                        "weighting entry {}: non-finite weight")):
+        if bad.any():  # the first bad group in input order
+            i = at[bad].min()
+            raise ValidationError(error.format((int(rows[i]), int(features[i]))))
+    arrays = _csr(len(names), rows[at], features[at], counts, weights,
                   label_matrix)
     return Index._from_arrays(cat_db, feat_db, doc_db, arrays,
-                              _frozen(np.ones(n_groups, dtype=bool)),
+                              _frozen(np.ones(len(at), dtype=bool)),
                               GLOBAL_DOMAIN)
 
 
 def _checked_entries(names, entries):
-    """The document and feature tables, and the feature ids, counts and
-    weights (float64) of `entries` in input order; None where a name, an
-    entry or a count fails a check, or the counts add up to 2**52 or more,
-    beyond which float64 sums of them may round."""
+    """The tables, the feature texts and counts as given, and the float64
+    counts (None from a total of 2**52 on, where sums may round) and weights
+    of `entries`; None unless each entry is a tuple or list of 2 or 3 items
+    with a positive, finite, integral int or float count and a number as
+    weight, and each name is good."""
     try:
         if not set(map(type, entries)) <= {tuple, list}:
             return None
         sizes = np.fromiter(map(len, entries), np.int64, len(entries))
         if not np.isin(sizes, (2, 3)).all():
             return None
-        doc_db = ConceptDb(names, kind="document")
-        texts = list(map(itemgetter(0), entries))
-        feat_db = ConceptDb(dict.fromkeys(texts), kind="feature")
         given = list(map(itemgetter(1), entries))
         if not set(map(type, given)) <= {int, float}:
             return None
         counts = np.array(given, dtype=np.float64)
-        if not ((counts > 0).all() and (np.floor(counts) == counts).all()
-                and counts.sum() < 2**52):
+        if not ((counts > 0).all() and np.isfinite(counts).all()
+                and (np.floor(counts) == counts).all()):
             return None
         weights = counts.copy()
-        explicit = [(i, w) for i in np.flatnonzero(sizes == 3).tolist()
-                    if (w := entries[i][2]) is not None]
-        if explicit:
-            at, values = zip(*explicit)
-            weights[list(at)] = list(map(float, values))
+        explicit = [i for i in np.flatnonzero(sizes == 3).tolist()
+                    if entries[i][2] is not None]
+        weights[explicit] = [float(entries[i][2]) for i in explicit]
+        doc_db = ConceptDb(names, kind="document")
+        texts = list(map(itemgetter(0), entries))
+        feat_db = ConceptDb(dict.fromkeys(texts), kind="feature")
     except (ValidationError, TypeError, ValueError, OverflowError):
         return None
-    features = np.fromiter(map(feat_db._ids.__getitem__, texts), np.int64,
-                           len(texts))
-    return doc_db, feat_db, features, counts, weights
+    exact = counts.sum() < 2**52
+    return doc_db, feat_db, texts, given, counts if exact else None, weights
 
 
 def _label_matrix(labels, doc_db: ConceptDb, cat_db: ConceptDb) -> np.ndarray:
@@ -511,24 +518,16 @@ def _label_matrix(labels, doc_db: ConceptDb, cat_db: ConceptDb) -> np.ndarray:
     return matrix
 
 
-def _build_entry_by_entry(cat_db, names, ends, entries, labels) -> Index:
-    """:func:`build_index` one entry at a time, checking each as it comes:
-    the first bad entry in input order raises its error.  Counts add up as
-    Python numbers, so this is also the build of counts too large for the
-    bulk path."""
-    feature_names: list = []
-    feature_ids: dict = {}
-    content: dict = {}
-    weights: dict = {}
-    seen_docs = set()
-    start = 0
-    for d, (name, stop) in enumerate(zip(names, ends)):
+def _raise_first_bad_entry(names, ends, entries) -> None:
+    """Raise the error of the first bad document name or entry in input
+    order, of the type and text an entry-by-entry build gives it; return if
+    there is none.  Counts add up as in the build, so a sum fails in place."""
+    seen_docs, totals = set(), {}
+    for name, start, stop in zip(names, [0] + ends, ends):
         _check_name("document", name)
         if name in seen_docs:
             raise ValidationError(f"duplicate docName {name!r}")
         seen_docs.add(name)
-        row: dict = {}
-        wrow: dict = {}
         for entry in entries[start:stop]:
             if len(entry) == 3:
                 text, count, weight = entry
@@ -541,24 +540,23 @@ def _build_entry_by_entry(cat_db, names, ends, entries, labels) -> Index:
             if count != int(count):  # counts are stored as int64
                 raise ValidationError(
                     f"fractional count {count} for feature {text!r} in {name!r}")
-            f = feature_ids.get(text)
-            if f is None:
-                _check_name("feature", text)
-                f = len(feature_names)
-                feature_ids[text] = f
-                feature_names.append(text)
-            row[f] = row.get(f, 0) + count
-            w = float(count) if weight is None else float(weight)
-            wrow[f] = wrow.get(f, 0.0) + w
-        content[d] = row
-        weights[d] = wrow
-        start = stop
-    doc_db = ConceptDb(names, kind="document")
-    matrix = _label_matrix(labels, doc_db, cat_db)
-    classification = {d: np.flatnonzero(cats).tolist()
-                      for d, cats in enumerate(matrix)}
-    return Index(cat_db, ConceptDb(feature_names, kind="feature"), doc_db,
-                 content, classification, weights)
+            total = totals.get((name, text), 0)  # hashes the text first
+            _check_name("feature", text)
+            totals[name, text] = total + count
+            float(count if weight is None else weight)
+
+
+def _walked_entries(names, ends, entries):
+    """:func:`_checked_entries` of entries that pass the walk, the counts
+    left to the exact conversion; a name that is no str fails the tables."""
+    _raise_first_bad_entry(names, ends, entries)
+    entries = list(map(tuple, entries))  # the items unpacking reads
+    texts = list(map(itemgetter(0), entries))
+    weights = np.array([float(e[1] if len(e) == 2 or e[2] is None else e[2])
+                        for e in entries], dtype=np.float64)
+    return (ConceptDb(names, kind="document"),
+            ConceptDb(dict.fromkeys(texts), kind="feature"), texts,
+            list(map(itemgetter(1), entries)), None, weights)
 
 
 def query_document_features(index: Index, d_id: int):
