@@ -341,9 +341,11 @@ def read_arff(path, categories=None):
     named `class` if declared, otherwise the last nominal attribute.  String
     attributes concatenate into the document text; numeric attributes become
     pre-extracted features named after the attribute; other nominal
-    attributes become `name=value` presence features.
+    attributes become `name=value` presence features.  A repeated attribute
+    name is a ParseError on its second declaration, as in WEKA.
     """
     attributes: list = []
+    names: set = set()
     docs: list = []
     in_data = False
     class_idx: int | None = None
@@ -357,8 +359,13 @@ def read_arff(path, categories=None):
             if lower.startswith("@relation"):
                 continue
             if lower.startswith("@attribute"):
-                attributes.append(
-                    _parse_attribute(path, line_no, line[len("@attribute"):]))
+                attribute = _parse_attribute(path, line_no,
+                                             line[len("@attribute"):])
+                if attribute.name in names:
+                    raise ParseError(path, line_no, f"duplicate attribute "
+                                     f"name {attribute.name!r}")
+                names.add(attribute.name)
+                attributes.append(attribute)
                 continue
             if lower == "@data":
                 if not attributes:

@@ -41,36 +41,46 @@ def _check_name(kind: str, name: str) -> None:
         raise ValidationError(f"{kind} name {name!r} contains tab/newline")
 
 
+def _first_bad_name(kind: str, names: list):
+    """(position, message) of the first empty, tab/newline-holding or
+    repeated name; None, after one bulk check, when every name is good."""
+    joined = "".join(names)
+    if (len(set(names)) == len(names) and all(names)
+            and not any(ch in joined for ch in _FORBIDDEN_NAME_CHARS)):
+        return None
+    seen = set()
+    for i, name in enumerate(names):
+        try:
+            _check_name(kind, name)
+        except ValidationError as exc:
+            return i, str(exc)
+        if name in seen:
+            return i, f"duplicate {kind} name {name!r}"
+        seen.add(name)
+    return None
+
+
 class ConceptDb:
     """Ordered table of (id, name) pairs with contiguous ids 0..n-1.
 
     Names are checked in bulk; `_checked` skips that for names taken from a
-    table that was checked already (subset_index).  The name -> id map is
-    built on the first lookup by name: building an index looks names up,
-    but no stage run on a loaded index does.
+    table that was checked already (subset_index) or checked by the caller
+    (_read_concepts, which names the line of a bad one).  The name -> id
+    map is built on the first lookup by name: building an index looks names
+    up, but no stage run on a loaded index does.
     """
 
     def __init__(self, names, kind="entry", _checked=False):
         self.kind = kind
         self._names = list(names)
         if not _checked:
-            joined = "".join(self._names)
-            if (len(set(self._names)) != len(self._names)
-                    or not all(self._names)
-                    or any(ch in joined for ch in _FORBIDDEN_NAME_CHARS)):
-                self._raise_first_bad_name()
+            bad = _first_bad_name(kind, self._names)
+            if bad is not None:
+                raise ValidationError(bad[1])
 
     @cached_property
     def _ids(self) -> dict:
         return dict(zip(self._names, range(len(self._names))))
-
-    def _raise_first_bad_name(self):
-        seen = set()
-        for name in self._names:
-            _check_name(self.kind, name)
-            if name in seen:
-                raise ValidationError(f"duplicate {self.kind} name {name!r}")
-            seen.add(name)
 
     def __len__(self):
         return len(self._names)
@@ -738,15 +748,19 @@ class _TsvFile(_Rows):
         return ParseError(self.path, 0, message)
 
     def text_rows(self) -> list:
-        """[line number, id text, name] of every non-blank line."""
+        """[line number, id text, name] of every non-blank line, without
+        the `\\r` of a CRLF line end."""
         try:
             text = self.data.decode("utf-8")
         except UnicodeDecodeError as exc:
             line_no = self.data.count(b"\n", 0, exc.start) + 1
             raise ParseError(self.path, line_no, "not UTF-8") from None
+        lines = text.split("\n")
+        if "\r" in text:
+            lines = [line[:-1] if line.endswith("\r") else line
+                     for line in lines]
         return [[line_no, *line.partition("\t")[::2]]
-                for line_no, line in enumerate(text.split("\n"), start=1)
-                if line]
+                for line_no, line in enumerate(lines, start=1) if line]
 
     def columns(self, row_type: np.dtype) -> np.ndarray:
         """All rows of a numeric file parsed at once, one field per column."""
@@ -801,7 +815,11 @@ def _read_concepts(directory, name, kind, expected) -> ConceptDb:
                 raise ParseError(tsv.path, line_no, f"expected id {i}")
     if len(rows) != expected:
         raise ValidationError(f"{name}: expected {expected} entries")
-    return ConceptDb([row[2] for row in rows], kind=kind)
+    names = [row[2] for row in rows]
+    bad = _first_bad_name(kind, names)
+    if bad is not None:
+        raise ParseError(tsv.path, rows[bad[0]][0], bad[1])
+    return ConceptDb(names, kind=kind, _checked=True)
 
 
 def deserialize_index(directory) -> Index:
