@@ -1,9 +1,9 @@
 """The `jatecs` command line tool.
 
 Each stage is a plain function over an in-memory Index (select_features,
-weight_index, train, classify_index, evaluate_predictions).  A subcommand
-reads its index and model directories, runs one stage and writes its
-output, so every stage is independently runnable and testable.  `pipeline`
+weight_index, train, a classifier's score_index and decisions, compare).
+A subcommand reads its index and model directories, runs one stage and
+writes its output, so every stage is independently runnable and testable.  `pipeline`
 hands each stage's index, classifier and predictions to the next stage in
 memory and writes each stage's output once, byte-identical to what the
 subcommand writes.  Exit codes: 0 success, 1 usage/config error, 2
@@ -30,7 +30,7 @@ from . import weighting
 from .corpus import (READERS, documents_to_index, numbered_lines,
                      read_category_file, read_corpus)
 from .errors import InternalError, JatecsError, ParseError, ValidationError
-from .evaluation import compare, measures, micro_macro
+from .evaluation import compare, label_map, measures, micro_macro
 from .experiments import grid_search, kfold_evaluate, make_folds
 from .index import deserialize_index, serialize_index
 from .learners import (LEARNERS, load_classifier, make_learner,
@@ -383,23 +383,6 @@ def weight_index(index, scheme: str, k1: float, b: float):
     return weighting.bm25(index, k1=k1, b=b)
 
 
-def classify_index(classifier, index) -> tuple:
-    """Classify stage: the decided {dID: [cID]} map and the D x C scores."""
-    scores = classifier.score_index(index)
-    decided = classifier.decisions(scores).tolist()
-    predictions = {d: [c for c, yes in enumerate(row) if yes]
-                   for d, row in enumerate(decided) if any(row)}
-    return predictions, scores
-
-
-def evaluate_predictions(predictions: dict, gold_index):
-    """Eval stage: contingency tables of predictions against the gold labels."""
-    gold = {d: gold_index.document_categories(d)
-            for d in range(gold_index.num_documents)}
-    return compare(predictions, gold, gold_index.num_documents,
-                   gold_index.num_categories)
-
-
 # Each _*_stage runs a stage on objects in memory, writes its output to
 # opts["out"] and reports it; a cmd_* reads its inputs and calls one of them,
 # and cmd_pipeline chains them without reading back what they wrote.
@@ -432,7 +415,11 @@ def _train_stage(opts, index):
 
 
 def _classify_stage(opts, classifier, index) -> dict:
-    predictions, scores = classify_index(classifier, index)
+    if index.categories.names != classifier.category_labels:
+        raise ValidationError("the index's category table differs from the "
+                              "model's")
+    scores = classifier.score_index(index)
+    predictions = label_map(classifier.decisions(scores))
     _write_tsv(opts["out"], ((d, c) for d, cs in predictions.items()
                              for c in cs))
     _write_text(_scores_path(opts["out"]), "".join(
@@ -443,7 +430,8 @@ def _classify_stage(opts, classifier, index) -> dict:
 
 
 def _eval_stage(opts, predictions, gold_index) -> None:
-    table_set = evaluate_predictions(predictions, gold_index)
+    table_set = compare(predictions, label_map(gold_index.arrays().labels),
+                        gold_index.num_documents, gold_index.num_categories)
     for c in sorted(table_set.per_category):
         _print_table(f"category {gold_index.categories.name(c)}",
                      table_set.per_category[c])

@@ -334,6 +334,24 @@ def _row_to_document(path, line_no, attributes, class_idx, values, ordinal):
                        labels=labels, features=tuple(features))
 
 
+def _check_feature_texts(path, attributes, line_nos, class_idx) -> None:
+    """A ParseError on the line of the first attribute whose feature text
+    (`name` if numeric, `name=value` if nominal and not the class) is also
+    an earlier attribute's: build_index would add the two up."""
+    owners: dict = {}
+    for i, (attr, line_no) in enumerate(zip(attributes, line_nos)):
+        if i == class_idx or attr.type == STRING:
+            continue
+        texts = ([attr.name] if attr.type == NUMERIC
+                 else [f"{attr.name}={value}" for value in attr.values])
+        for text in texts:
+            owner = owners.setdefault(text, attr.name)
+            if owner != attr.name:
+                raise ParseError(path, line_no, f"attribute {attr.name!r} "
+                                 f"yields feature {text!r}, as attribute "
+                                 f"{owner!r} does")
+
+
 def read_arff(path, categories=None):
     """Parse the ARFF subset: header, dense and sparse `{i v}` data rows.
 
@@ -342,9 +360,11 @@ def read_arff(path, categories=None):
     attributes concatenate into the document text; numeric attributes become
     pre-extracted features named after the attribute; other nominal
     attributes become `name=value` presence features.  A repeated attribute
-    name is a ParseError on its second declaration, as in WEKA.
+    name is a ParseError on its second declaration, as in WEKA, and so is
+    an attribute whose feature text an earlier attribute yields.
     """
     attributes: list = []
+    line_nos: list = []
     names: set = set()
     docs: list = []
     in_data = False
@@ -366,11 +386,13 @@ def read_arff(path, categories=None):
                                      f"name {attribute.name!r}")
                 names.add(attribute.name)
                 attributes.append(attribute)
+                line_nos.append(line_no)
                 continue
             if lower == "@data":
                 if not attributes:
                     raise ParseError(path, line_no, "@data before any @attribute")
                 class_idx = _class_attribute_index(attributes)
+                _check_feature_texts(path, attributes, line_nos, class_idx)
                 in_data = True
                 continue
             raise ParseError(path, line_no, f"unexpected header line {line!r}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .sums import seq_sum
 
@@ -87,6 +89,12 @@ def compare(predictions: dict, gold: dict, num_documents: int,
         tn = num_documents - tp - fp - fn
         tables[c] = ContingencyTable(tp=tp, tn=tn, fp=fp, fn=fn)
     return ContingencyTableSet(tables)
+
+
+def label_map(matrix: np.ndarray) -> dict:
+    """{dID: ascending cID tuple} of every row of a D x C boolean matrix."""
+    return {d: tuple(np.flatnonzero(row).tolist())
+            for d, row in enumerate(matrix)}
 
 
 def measures(table: ContingencyTable) -> tuple:

@@ -1,12 +1,12 @@
 """Experiment templates: k-fold cross-validation and grid search.
 
 Fold assignment is driven by the deterministic seeded generator, so plans,
-evaluations and grid searches are exactly reproducible.  `fold_splits` is
-the one k-fold split: `kfold_evaluate` and the quantifiers' rate estimation
-both iterate it.  Folds and grid points run one after another and are
-reduced in (point, fold) order.  The `threads` keyword is accepted and
-ignored: the work is GIL-bound, and a thread pool over it never ran faster
-than one thread.
+evaluations and grid searches are exactly reproducible.  `out_of_fold` is
+the one pass that trains on each fold's complement and scores the fold;
+k-fold tables, grid points and the quantifiers' rates are read from it.
+Folds and grid points run one after another, in (point, fold) order.  The
+`threads` keyword is accepted and ignored: the work is GIL-bound, and a
+thread pool over it never ran faster than one thread.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import itertools
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .evaluation import ContingencyTableSet, compare, micro_macro
+from .evaluation import ContingencyTableSet, compare, label_map, micro_macro
 from .index import Index, subset_index
-from .learners import make_learner, predict_classification, train
+from .learners import make_learner, train
 from .rng import SplitMix64
 
 log = logging.getLogger("jatecs")
@@ -102,20 +104,30 @@ def fold_splits(index: Index, plan: FoldPlan):
                subset_index(index, keep_docs=set(test_ids)))
 
 
+def out_of_fold(learner, index: Index, plan: FoldPlan) -> tuple:
+    """(D x C scores, D x C decisions, [(fold, warning)]) of classifiers
+    trained on each fold's complement, each scoring its fold, in fold order."""
+    scores = np.zeros((index.num_documents, index.num_categories))
+    decisions = np.zeros(scores.shape, dtype=bool)
+    warnings = []
+    for fold, test_ids, fold_train, fold_test in fold_splits(index, plan):
+        classifier = train(learner, fold_train)
+        del fold_train  # not held while the next split is built
+        warnings.extend((fold, message) for message in classifier.warnings)
+        fold_scores = classifier.score_index(fold_test)
+        scores[test_ids] = fold_scores
+        decisions[test_ids] = classifier.decisions(fold_scores)
+    return scores, decisions, warnings
+
+
 def kfold_evaluate(learner, index: Index, plan: FoldPlan,
                    threads: int = 1) -> ContingencyTableSet:
-    """Train on each fold complement, classify the fold, sum the tables."""
-    total = ContingencyTableSet({})
-    for fold, _, train_index, test_index in fold_splits(index, plan):
-        classifier = train(learner, train_index)
-        for message in classifier.warnings:
-            log.warning("fold %d: %s", fold, message)
-        predictions = predict_classification(classifier, test_index)
-        gold = {d: test_index.document_categories(d)
-                for d in range(test_index.num_documents)}
-        total = total + compare(predictions, gold, test_index.num_documents,
-                                test_index.num_categories)
-    return total
+    """The out-of-fold decisions' tables: the per-fold tables summed."""
+    _, decisions, warnings = out_of_fold(learner, index, plan)
+    for fold, message in warnings:
+        log.warning("fold %d: %s", fold, message)
+    return compare(label_map(decisions), label_map(index.arrays().labels),
+                   index.num_documents, index.num_categories)
 
 
 def grid_search(learner_kind: str, grid: dict, index: Index, plan: FoldPlan,

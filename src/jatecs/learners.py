@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .evaluation import label_map
 from .index import Index
 from .sums import row_sums, seq_sum
 
@@ -717,9 +718,7 @@ def one_vs_all_predict(classifier: TrainedClassifier, index: Index,
 
 def predict_classification(classifier: TrainedClassifier, index: Index) -> dict:
     """Decided (document -> sorted category tuple) map over a whole index."""
-    decided = classifier.decisions(classifier.score_index(index))
-    return {d: tuple(np.flatnonzero(row).tolist())
-            for d, row in enumerate(decided)}
+    return label_map(classifier.decisions(classifier.score_index(index)))
 
 
 # -- model persistence -----------------------------------------------------------------

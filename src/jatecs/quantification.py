@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import SIMPLE, STRATIFIED, fold_splits, make_folds
+from .experiments import SIMPLE, STRATIFIED, make_folds, out_of_fold
 from .index import Index, subset_index  # bench/tracing.py rebinds it
 from .learners import TrainedClassifier, train
 from .sums import seq_sum
@@ -128,25 +128,16 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
     folds = min(folds, n_docs)
     warnings = []
     mode = STRATIFIED
+    sizes = np.count_nonzero(train_index.arrays().labels, axis=0).tolist()
     thin = [train_index.categories.name(c)
-            for c in range(train_index.num_categories)
-            if len(train_index.category_documents(c)) < 2]
+            for c, size in enumerate(sizes) if size < 2]
     if thin:
         mode = SIMPLE
         message = ("categories with fewer than 2 positives, falling back to "
                    f"simple folds: {', '.join(thin)}")
         warnings.append(message)
     plan = make_folds(train_index, folds, mode=mode, seed=0)
-
-    # out-of-fold D x C scores and decisions
-    oof_scores = np.zeros((n_docs, train_index.num_categories))
-    oof_decisions = np.zeros(oof_scores.shape, dtype=bool)
-    for _, test_ids, fold_train, fold_test in fold_splits(train_index, plan):
-        fold_classifier = train(learner, fold_train)
-        del fold_train  # not held while the next split is built
-        scores = fold_classifier.score_index(fold_test)
-        oof_scores[test_ids] = scores
-        oof_decisions[test_ids] = fold_classifier.decisions(scores)
+    oof_scores, oof_decisions, _ = out_of_fold(learner, train_index, plan)
 
     rates = {}
     for c, labels in enumerate(train_index.arrays().labels.T.tolist()):
@@ -206,7 +197,11 @@ def _at_best_threshold(curve, values: np.ndarray, fallback: float) -> float:
 
 
 def quantify(pool: QuantifierPool, test: Index) -> PrevalenceEstimate:
-    """All six prevalence estimates per category on an unlabeled test index."""
+    """All six prevalence estimates per category on an unlabeled test index
+    whose category table is the training index's."""
+    if test.categories.names != pool.category_labels:
+        raise ValidationError("the test index's category table differs from "
+                              "the training index's")
     n_docs = test.num_documents
     if n_docs == 0:
         raise ValidationError("cannot quantify an empty test set")
@@ -275,5 +270,5 @@ def evaluate_quantification(estimates: PrevalenceEstimate,
 def true_prevalences(index: Index) -> dict:
     """Gold prevalence of every category in a labeled index."""
     n = index.num_documents
-    return {c: (len(index.category_documents(c)) / n if n else 0.0)
-            for c in range(index.num_categories)}
+    sizes = np.count_nonzero(index.arrays().labels, axis=0).tolist()
+    return {c: (size / n if n else 0.0) for c, size in enumerate(sizes)}

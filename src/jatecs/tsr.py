@@ -148,8 +148,9 @@ def _category_scores(index: Index, func: str, categories) -> np.ndarray:
     n, n_feats = index.num_documents, index.num_features
     df = np.bincount(view.features, minlength=n_feats)
     scores = np.zeros((len(categories), n_feats))
+    sizes = np.count_nonzero(view.labels, axis=0).tolist()
     for row, c in enumerate(categories):
-        n_pos = len(index.category_documents(c))
+        n_pos = sizes[c]
         a = np.bincount(view.features[view.labels[view.rows, c]],
                         minlength=n_feats)
         pairs, inverse = np.unique(a * (n + 1) + df, return_inverse=True)
@@ -177,6 +178,7 @@ def rank_features(index: Index, func: str, scope=None, policy=GLOBAL_MAX):
     if index.num_documents == 0:
         raise ValidationError("cannot rank features of an empty index")
     if scope is not None:
+        index.categories.name(scope)  # an unknown id is a ValidationError
         return _sorted_ranking(scope, _category_scores(index, func, [scope])[0])
     if policy not in (GLOBAL_MAX, GLOBAL_SUM, GLOBAL_WAVG):
         raise ValidationError(f"unknown global policy {policy!r}")
@@ -188,9 +190,10 @@ def rank_features(index: Index, func: str, scope=None, policy=GLOBAL_MAX):
             combined = np.where(scores > combined, scores, combined)
     else:
         combined = np.zeros(index.num_features)
+        sizes = np.count_nonzero(index.arrays().labels, axis=0).tolist()
         for c, scores in enumerate(per_cat):
             if policy == GLOBAL_WAVG:
-                scores = (len(index.category_documents(c)) / d_total) * scores
+                scores = (sizes[c] / d_total) * scores
             combined = combined + scores
     return _sorted_ranking(None, combined)
 
