@@ -36,9 +36,9 @@ from .index import deserialize_index, serialize_index
 from .learners import (LEARNERS, load_classifier, make_learner,
                        save_classifier, train)
 from .projection import build_projection, project, save_projection
-from .quantification import (LogisticScaling, evaluate_quantification,
-                             learn_quantifiers, quantify, true_prevalences,
-                             QUANTIFIERS)
+from .quantification import (LogisticScaling, check_test_categories,
+                             evaluate_quantification, learn_quantifiers,
+                             quantify, true_prevalences, QUANTIFIERS)
 from .textproc import ExtractorConfig, english_stopwords
 from .tsr import (apply_selection, per_category_rankings, rank_features,
                   select_round_robin)
@@ -441,6 +441,8 @@ def _eval_stage(opts, predictions, gold_index) -> None:
 
 
 def _quantify_stage(opts, train_index, test_index) -> None:
+    # before the pool trains its folds, which is most of the stage's time
+    check_test_categories(test_index, train_index.categories.names)
     pool = learn_quantifiers(_learner_from(opts), train_index,
                              folds=opts["folds"],
                              scaling=LogisticScaling(slope=opts["slope"]))

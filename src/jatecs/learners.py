@@ -37,10 +37,11 @@ lower id.  Logarithms and exponentials that end up in a model are taken with
 :mod:`math`: numpy's vectorized ones can differ from them in the last bit.
 
 A trained classifier can score any index sharing the training feature space;
-feature ids beyond the trained vocabulary are ignored.  When the training
-index carries a local feature domain, it becomes a C x F feature mask, and
-features that are invalid for a category contribute nothing to that
-category's score.
+feature ids beyond the trained vocabulary are ignored.  The training index's
+feature domain becomes a C x F feature mask, all True when the domain is
+global, and features that are invalid for a category contribute nothing to
+that category's score.  kNN and Rocchio make one pass per distinct mask row,
+shared by the categories that have it, so a global domain takes one pass.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class TrainedClassifier:
         self.category_labels = tuple(category_labels)
         self.thresholds = tuple(thresholds)
         self.num_features = num_features       # trained vocabulary size
-        self.masks = masks                     # C x F valid features, or None
+        self.masks = masks                     # C x F valid features (None
+                                               # only in a kernel-less stub)
         self.strict = strict                   # decision uses > instead of >=
         self.warnings = list(warnings)
         self.hyperparameters = {}              # filled in by train()
@@ -225,15 +227,25 @@ class TrainedClassifier:
                 view.weights[nz][keep])
 
 
-def _feature_masks(index: Index):
-    """C x F validity of a local domain; None for a global one."""
+def _feature_masks(index: Index) -> np.ndarray:
+    """C x F validity of the index's feature domain; all True when global."""
     if not index.domain.local:
-        return None
+        return np.ones((index.num_categories, index.num_features), dtype=bool)
     masks = np.zeros((index.num_categories, index.num_features), dtype=bool)
     for c in range(index.num_categories):
         valid = index.domain.valid_features(c)
         masks[c, np.fromiter(valid, dtype=np.intp, count=len(valid))] = True
     return masks
+
+
+def _mask_groups(masks: np.ndarray) -> list:
+    """The category ids of each distinct row of `masks`, in order of first
+    appearance.  Rows are keyed by their bytes: np.unique(axis=0) builds a
+    structured dtype with F fields and is far slower."""
+    groups = {}
+    for c, row in enumerate(masks):
+        groups.setdefault(row.tobytes(), []).append(c)
+    return list(groups.values())
 
 
 def _feature_major(features, n_feats: int) -> tuple:
@@ -304,11 +316,9 @@ def _train_naive_bayes(learner, index: Index):
                       minlength=n_cats * n_feats).reshape(n_cats, n_feats)
     neg = np.bincount(view.features, weights=view.counts,
                       minlength=n_feats) - pos
-    if masks is None:
-        vocab = np.full(n_cats, n_feats)
-    else:
-        pos, neg = pos * masks, neg * masks
-        vocab = masks.sum(axis=1)
+    pos *= masks
+    neg *= masks
+    vocab = masks.sum(axis=1)
     pos_totals, neg_totals = pos.sum(axis=1), neg.sum(axis=1)
     log_odds = np.zeros(n_cats)
     den_pos = np.zeros(n_cats)
@@ -333,8 +343,7 @@ def _train_naive_bayes(learner, index: Index):
             den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
     deltas = ((_log_counts(pos) - den_pos[:, None])
               - (_log_counts(neg) - den_neg[:, None]))
-    if masks is not None:
-        deltas[~masks] = 0.0
+    deltas[~masks] = 0.0
     return NaiveBayesClassifier(labels, n_feats, log_odds, deltas, fixed,
                                 masks=masks, warnings=warnings)
 
@@ -365,11 +374,10 @@ class RocchioClassifier(TrainedClassifier):
         squares = weights * weights
         dots = np.stack([row_sums(rows, profile[ids] * weights, n)
                          for profile in self.profile_matrix], axis=1)
-        if self.masks is None:
-            v_norms = np.sqrt(row_sums(rows, squares, n))[:, None]
-        else:
-            v_norms = np.sqrt(np.stack([row_sums(rows, mask[ids] * squares, n)
-                                        for mask in self.masks], axis=1))
+        v_norms = np.empty(dots.shape)
+        for group in _mask_groups(self.masks):
+            v_norms[:, group] = np.sqrt(row_sums(
+                rows, self.masks[group[0], ids] * squares, n))[:, None]
         norms = np.asarray(self.norms)
         scores = np.zeros(dots.shape)
         np.divide(dots, norms * v_norms, out=scores,
@@ -402,8 +410,7 @@ def _train_rocchio(learner, index: Index):
         profile = np.bincount(view.features,
                               weights=scale[view.rows] * view.weights,
                               minlength=index.num_features)
-        if masks is not None:
-            profile[~masks[c]] = 0.0
+        profile[~masks[c]] = 0.0
         profile[~(profile > 0.0)] = 0.0
         profiles[c] = profile
         norms.append(math.sqrt(seq_sum(profile * profile)))
@@ -423,7 +430,7 @@ class KnnClassifier(TrainedClassifier):
         super().__init__(category_labels, [threshold] * len(category_labels),
                          num_features, masks=masks, warnings=warnings)
         self.view = view    # the training index's IndexArrays
-        self.norms = norms  # per training doc; C x D_train with masks
+        self.norms = norms  # G x D_train, row g for _mask_groups()[g]
         self.k = k
 
     def _kernel(self, n, rows, ids, counts, weights):
@@ -431,19 +438,16 @@ class KnnClassifier(TrainedClassifier):
         postings = (starts, self.view.rows[order], self.view.weights[order])
         lengths = starts[ids + 1] - starts[ids]  # postings per query nonzero
         blocks = _knn_blocks(rows, lengths, n, self.view.labels.shape[0])
-        if self.masks is None:
-            columns = [(weights, self.norms, slice(None))]
-        else:  # one pass per category, keeping its own column
-            columns = [(weights * self.masks[c, ids], self.norms[c],
-                        slice(c, c + 1)) for c in range(self.num_categories)]
         scores = np.empty((n, self.num_categories))
-        for w, norms, column in columns:
+        # one pass per distinct mask row, filling its categories' columns
+        for group, norms in zip(_mask_groups(self.masks), self.norms):
+            w = weights * self.masks[group[0], ids]
             q_norms = np.sqrt(np.bincount(rows, weights=w * w, minlength=n))
             for first, stop, lo, hi in blocks:
-                scores[first:stop, column] = self._block_votes(
+                scores[first:stop, group] = self._block_votes(
                     postings, rows[lo:hi] - first, ids[lo:hi], w[lo:hi],
                     lengths[lo:hi], norms * q_norms[first:stop, None],
-                    self.view.labels[:, column])
+                    self.view.labels[:, group])
         return scores
 
     def _block_votes(self, postings, rows, ids, w, lengths, denominators,
@@ -515,14 +519,10 @@ def _train_knn(learner, index: Index):
     view = index.arrays()
     n_docs = index.num_documents
     squares = view.weights * view.weights
-    if masks is None:
-        norms = np.sqrt(np.bincount(view.rows, weights=squares,
-                                    minlength=n_docs))
-    else:
-        norms = np.sqrt(np.stack([
-            np.bincount(view.rows, weights=squares * mask[view.features],
-                        minlength=n_docs)
-            for mask in masks]))
+    norms = np.sqrt(np.stack([
+        np.bincount(view.rows, minlength=n_docs,
+                    weights=squares * masks[group[0], view.features])
+        for group in _mask_groups(masks)]))
     warnings = [_no_positives(labels[c])
                 for c in np.flatnonzero(~view.labels.any(axis=0)).tolist()]
     return KnnClassifier(labels, index.num_features, view, norms, learner.k,
@@ -578,20 +578,17 @@ def _stump(w0p, w0m, w1p, w1m, epsilon):
 
 
 def _best_stump(w0p, w0m, w1p, w1m, epsilon, candidates):
-    """(Z, fID, c0, c1) of the candidate feature (every one when
-    `candidates` is None) minimizing Z, lowest id first among equals.  Z is
-    screened for every feature with numpy, as w+ r + w- / r with
-    r = exp(-c) = sqrt((w- + epsilon) / (w+ + epsilon)); the few within
-    rounding of the minimum are then compared by the exact scalar Z, so the
-    choice equals a scalar loop's."""
+    """(Z, fID, c0, c1) of the candidate feature minimizing Z, lowest id
+    first among equals.  Z is screened for every feature with numpy, as
+    w+ r + w- / r with r = exp(-c) = sqrt((w- + epsilon) / (w+ + epsilon));
+    the few within rounding of the minimum are then compared by the exact
+    scalar Z, so the choice equals a scalar loop's."""
     r0 = np.sqrt((w0m + epsilon) / (w0p + epsilon))
     r1 = np.sqrt((w1m + epsilon) / (w1p + epsilon))
-    z = w0p * r0 + w0m / r0 + w1p * r1 + w1m / r1
-    if candidates is not None:
-        z = z[candidates]
+    z = (w0p * r0 + w0m / r0 + w1p * r1 + w1m / r1)[candidates]
     near = np.flatnonzero(z <= z.min() * (1.0 + 1e-9))
     best = None
-    for f in (near if candidates is None else candidates[near]).tolist():
+    for f in candidates[near].tolist():
         z_f, c0, c1 = _stump(float(w0p[f]), float(w0m[f]),
                              float(w1p[f]), float(w1m[f]), epsilon)
         if best is None or z_f < best[0]:
@@ -618,8 +615,8 @@ def _train_boost(learner, index: Index):
             all_rounds.append(None)
             all_z.append([])
             continue
-        candidates = None if masks is None else np.flatnonzero(masks[c])
-        if not n_feats or (candidates is not None and not len(candidates)):
+        candidates = np.flatnonzero(masks[c])
+        if not len(candidates):
             raise ValidationError(
                 f"category {labels[c]!r} has no features to boost on")
         # the nonzeros split by class, each in CSR order

@@ -196,12 +196,17 @@ def _at_best_threshold(curve, values: np.ndarray, fallback: float) -> float:
                       tpr, fpr)
 
 
+def check_test_categories(test: Index, category_labels: tuple) -> None:
+    """Reject a test index whose category table is not the training one."""
+    if test.categories.names != category_labels:
+        raise ValidationError("the test index's category table differs from "
+                              "the training index's")
+
+
 def quantify(pool: QuantifierPool, test: Index) -> PrevalenceEstimate:
     """All six prevalence estimates per category on an unlabeled test index
     whose category table is the training index's."""
-    if test.categories.names != pool.category_labels:
-        raise ValidationError("the test index's category table differs from "
-                              "the training index's")
+    check_test_categories(test, pool.category_labels)
     n_docs = test.num_documents
     if n_docs == 0:
         raise ValidationError("cannot quantify an empty test set")
