@@ -21,6 +21,7 @@ Flags win over config values, which win over the defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -251,6 +252,13 @@ def build_parser() -> _Parser:
             sub.add_argument(f"--{name}", help=text,
                              metavar=name.replace("-", "_").upper(), **how)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main uses, built on its first call: parsing leaves a
+    parser as it was, so every later call in the process reuses it."""
+    return build_parser()
 
 
 def _given(args) -> dict:
@@ -689,7 +697,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     log.addHandler(_WARNINGS)  # a no-op once it is attached
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

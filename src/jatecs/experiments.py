@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .evaluation import ContingencyTableSet, compare, label_map, micro_macro
 from .index import Index, subset_index
-from .learners import make_learner, train
+from .learners import fold_classifiers, make_learner, train
 from .rng import SplitMix64
 
 log = logging.getLogger("jatecs")
@@ -91,30 +91,51 @@ def make_folds(index: Index, k: int, mode: str = SIMPLE,
     return FoldPlan(k=k, assignment=assignment, mode=mode, seed=seed)
 
 
-def fold_splits(index: Index, plan: FoldPlan):
-    """(fold, test ids, training index, test index) of every fold, in order."""
-    if set(plan.assignment) != set(range(index.num_documents)):
+def _fold_ids(index: Index, plan: FoldPlan):
+    """(fold, sorted test ids) of every fold, in order, once the plan is
+    checked to cover the index and the fold to leave neither split empty."""
+    n_docs = index.num_documents
+    if set(plan.assignment) != set(range(n_docs)):
         raise ValidationError("fold plan does not cover this index")
     for fold in range(plan.k):
         test_ids = plan.fold_documents(fold)
-        train_ids = set(range(index.num_documents)).difference(test_ids)
-        if not train_ids or not test_ids:
+        if not test_ids or len(test_ids) == n_docs:
             raise ValidationError(f"fold {fold} leaves an empty split")
-        yield (fold, test_ids, subset_index(index, keep_docs=train_ids),
+        yield fold, test_ids
+
+
+def _complement(index: Index, test_ids) -> set:
+    return set(range(index.num_documents)).difference(test_ids)
+
+
+def fold_splits(index: Index, plan: FoldPlan):
+    """(fold, test ids, training index, test index) of every fold, in order,
+    with out_of_fold's plan checks."""
+    for fold, test_ids in _fold_ids(index, plan):
+        yield (fold, test_ids,
+               subset_index(index, keep_docs=_complement(index, test_ids)),
                subset_index(index, keep_docs=set(test_ids)))
 
 
 def out_of_fold(learner, index: Index, plan: FoldPlan) -> tuple:
     """(D x C scores, D x C decisions, [(fold, warning)]) of classifiers
-    trained on each fold's complement, each scoring its fold, in fold order."""
+    trained on each fold's complement, each scoring its fold, in fold order.
+
+    A learner with a fold trainer (Naive Bayes) trains without copying the
+    index; any other trains on a subset_index copy of the complement.
+    Every fold is scored in place, without a copy of its documents."""
     scores = np.zeros((index.num_documents, index.num_categories))
     decisions = np.zeros(scores.shape, dtype=bool)
     warnings = []
-    for fold, test_ids, fold_train, fold_test in fold_splits(index, plan):
-        classifier = train(learner, fold_train)
-        del fold_train  # not held while the next split is built
+
+    def train_complement(test_ids):
+        # through this module's names, which bench/tracing.py rebinds
+        return train(learner, subset_index(
+            index, keep_docs=_complement(index, test_ids)))
+    for fold, test_ids, classifier in fold_classifiers(
+            learner, index, _fold_ids(index, plan), train_complement):
         warnings.extend((fold, message) for message in classifier.warnings)
-        fold_scores = classifier.score_index(fold_test)
+        fold_scores = classifier.score_subset(index, test_ids)
         scores[test_ids] = fold_scores
         decisions[test_ids] = classifier.decisions(fold_scores)
     return scores, decisions, warnings

@@ -649,10 +649,11 @@ def _renumbered(old_ids, n) -> np.ndarray:
 # relation that is exactly the counts is the content text with ".0" before
 # each newline, since repr(float(n)) == f"{n}.0" for every integer
 # 0 < n <= 2**53.  Each file is decoded with one read and, for the numeric
-# relations, one numpy parse of all its rows.  Blank lines are skipped.  A
-# malformed row (wrong field count, non-numeric field, unknown id,
-# duplicate key) is a ParseError naming its line; the line is looked up only
-# once a file has failed to decode.
+# relations, one numpy parse of all its rows; a concept file is one split
+# of its text.  Blank lines are skipped.  A malformed row (wrong field
+# count, non-numeric field, unknown id, duplicate key) is a ParseError
+# naming its line; the line is looked up only once a file has failed to
+# decode.
 
 FORMAT_VERSION = 1
 
@@ -806,20 +807,49 @@ def _read_meta(directory) -> dict:
     return meta
 
 
+#: every byte but tab and newline, deleted to leave a file's separators
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+
+
+def _concept_names(data: bytes, n: int, kind: str):
+    """The names of a concept file that is exactly n lines "i<TAB>name"
+    for i = 0..n-1, UTF-8 with LF ends and good distinct names, from one
+    split of its text; None for any other file."""
+    if b"\r" in data or data.translate(None, _NOT_SEPARATORS) != b"\t\n" * n:
+        return None  # not one tab, then a newline, on each of n lines
+    try:
+        fields = data.decode("utf-8").replace("\t", "\n").split("\n")
+    except UnicodeDecodeError:
+        return None
+    names = fields[1:-1:2]
+    if (fields[-1] or fields[0:-1:2] != list(map(str, range(n)))
+            or _first_bad_name(kind, names) is not None):
+        return None
+    return names
+
+
 def _read_concepts(directory, name, kind, expected) -> ConceptDb:
     tsv = _TsvFile(directory, name)
+    names = _concept_names(tsv.data, expected, kind)
+    if names is None:  # a bad line, or blank or CRLF lines: row by row
+        names = _walked_concepts(tsv, name, kind, expected)
+    return ConceptDb(names, kind=kind, _checked=True)
+
+
+def _walked_concepts(tsv: _TsvFile, name, kind, expected) -> list:
+    """The names of a concept file read line by line, or the error that
+    names its first bad line."""
     rows = tsv.text_rows()
-    if [row[1] for row in rows] != [str(i) for i in range(len(rows))]:
-        for i, (line_no, id_text, _) in enumerate(rows):
-            if id_text != str(i):
-                raise ParseError(tsv.path, line_no, f"expected id {i}")
+    for i, (line_no, id_text, _) in enumerate(rows):
+        if id_text != str(i):
+            raise ParseError(tsv.path, line_no, f"expected id {i}")
     if len(rows) != expected:
         raise ValidationError(f"{name}: expected {expected} entries")
     names = [row[2] for row in rows]
     bad = _first_bad_name(kind, names)
     if bad is not None:
         raise ParseError(tsv.path, rows[bad[0]][0], bad[1])
-    return ConceptDb(names, kind=kind, _checked=True)
+    return names
 
 
 def deserialize_index(directory) -> Index:

@@ -12,7 +12,8 @@ matrix.  With nnz the training nonzeros and n those of the scored documents:
   NB       one bincount over the (nonzero, label) pairs gives the class
            counts of every category, and their logs come from a table
            filled at the counts that occur, without a sort; scoring adds n
-           terms per category
+           terms per category.  A fold model of out_of_fold takes the
+           whole index's counts less those of the fold's nonzeros
   Rocchio  one weighted bincount over the nonzeros per category; scoring
            adds n profile products per category
   kNN      training keeps the view; score_index sorts it into feature-major
@@ -198,11 +199,16 @@ class TrainedClassifier:
     def score_index(self, index: Index) -> np.ndarray:
         """D x C float64 scores of every document of `index`; row d equals
         score_document(index, d) bit for bit."""
-        n_docs = index.num_documents
+        return self.score_subset(index, range(index.num_documents))
+
+    def score_subset(self, index: Index, docs) -> np.ndarray:
+        """The scores of the sorted document ids `docs`, one row each: the
+        score_index of subset_index(index, keep_docs=docs), without the
+        copy."""
         if self._kernel is not None:
-            return self._kernel(*self._block(index, 0, n_docs))
-        rows = [self.score_document(index, d) for d in range(n_docs)]
-        return np.array(rows, dtype=np.float64).reshape(n_docs,
+            return self._kernel(*self._block(index, docs))
+        rows = [self.score_document(index, d) for d in docs]
+        return np.array(rows, dtype=np.float64).reshape(len(rows),
                                                         self.num_categories)
 
     def score_document_category(self, index: Index, d_id: int, c_id: int) -> float:
@@ -214,17 +220,30 @@ class TrainedClassifier:
         if self._kernel is None:
             return [self.score_document_category(index, d_id, c)
                     for c in range(self.num_categories)]
-        return self._kernel(*self._block(index, d_id, d_id + 1))[0].tolist()
+        return self._kernel(*self._block(index, [d_id]))[0].tolist()
 
-    def _block(self, index: Index, first: int, stop: int) -> tuple:
-        """(row count, row from 0, feature, count, weight) of the nonzeros of
-        documents first..stop-1 in the trained vocabulary, in CSR order."""
+    def _block(self, index: Index, docs) -> tuple:
+        """(row count, row in `docs`, feature, count, weight) of the
+        nonzeros of the sorted document ids `docs` in the trained
+        vocabulary, in CSR order."""
         view = index.arrays()
-        nz = slice(view.indptr[first], view.indptr[stop])
+        nz, rows = _doc_nonzeros(view.indptr, docs)
         keep = view.features[nz] < self.num_features
-        return (stop - first, view.rows[nz][keep] - first,
-                view.features[nz][keep], view.counts[nz][keep],
-                view.weights[nz][keep])
+        nz = nz[keep]
+        return (len(docs), rows[keep], view.features[nz], view.counts[nz],
+                view.weights[nz])
+
+
+def _doc_nonzeros(indptr, docs) -> tuple:
+    """(position, row in `docs`) of every nonzero of the sorted document ids
+    `docs` of a CSR, in CSR order."""
+    docs = np.asarray(docs, dtype=np.intp)
+    starts = indptr[docs]
+    lengths = indptr[docs + 1] - starts
+    rows = np.repeat(np.arange(len(docs)), lengths)
+    # a nonzero's position: its row's start plus its rank within the row
+    offsets = starts - (np.cumsum(lengths) - lengths)
+    return offsets[rows] + np.arange(len(rows)), rows
 
 
 def _feature_masks(index: Index) -> np.ndarray:
@@ -302,22 +321,27 @@ def _log_counts(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _train_naive_bayes(learner, index: Index):
-    labels = index.categories.names
-    masks = _feature_masks(index)
-    view = index.arrays()
-    n_docs, n_feats = index.num_documents, index.num_features
-    n_cats = index.num_categories
-    # the class counts of every category from one pass over the
-    # (nonzero, label) pairs; integer sums, so exact in any order
-    nz, cats = np.nonzero(view.labels[view.rows])
-    pos = np.bincount(cats * n_feats + view.features[nz],
-                      weights=view.counts[nz],
+def _nb_counts(view, nz, n_feats: int) -> tuple:
+    """The class counts of the nonzeros `nz` (a slice, bool mask or
+    positions, in CSR order) of an index's view: the C x F counts in each
+    category's positive documents and the F counts in all of them, float64
+    sums of the integer counts."""
+    rows, features, counts = view.rows[nz], view.features[nz], view.counts[nz]
+    # one pass over the (nonzero, label) pairs for every category
+    at, cats = np.nonzero(view.labels[rows])
+    n_cats = view.labels.shape[1]
+    pos = np.bincount(cats * n_feats + features[at], weights=counts[at],
                       minlength=n_cats * n_feats).reshape(n_cats, n_feats)
-    neg = np.bincount(view.features, weights=view.counts,
-                      minlength=n_feats) - pos
-    pos *= masks
-    neg *= masks
+    return pos, np.bincount(features, weights=counts, minlength=n_feats)
+
+
+def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int):
+    """The classifier of the class counts `pos` and `totals` (see
+    _nb_counts) of n_docs training documents, n_pos[c] of them in
+    category c."""
+    n_cats, n_feats = masks.shape
+    neg = (totals - pos) * masks
+    pos = pos * masks
     vocab = masks.sum(axis=1)
     pos_totals, neg_totals = pos.sum(axis=1), neg.sum(axis=1)
     log_odds = np.zeros(n_cats)
@@ -325,19 +349,19 @@ def _train_naive_bayes(learner, index: Index):
     den_neg = np.zeros(n_cats)
     fixed = []
     warnings = []
-    for c, n_pos in enumerate(view.labels.sum(axis=0).tolist()):
-        if not n_pos:
+    for c, n_pos_c in enumerate(n_pos.tolist()):
+        if not n_pos_c:
             warnings.append(_no_positives(labels[c]))
             fixed.append(MIN_SCORE)
             continue
-        if n_pos == n_docs:
+        if n_pos_c == n_docs:
             warnings.append(f"category {labels[c]!r} has no negative "
                             "training documents")
             fixed.append(-MIN_SCORE)
             continue
         fixed.append(None)
-        log_odds[c] = math.log(n_pos / n_docs) - \
-            math.log((n_docs - n_pos) / n_docs)
+        log_odds[c] = math.log(n_pos_c / n_docs) - \
+            math.log((n_docs - n_pos_c) / n_docs)
         if vocab[c]:  # without features there is no delta to normalize
             den_pos[c] = math.log(int(pos_totals[c]) + int(vocab[c]))
             den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
@@ -346,6 +370,49 @@ def _train_naive_bayes(learner, index: Index):
     deltas[~masks] = 0.0
     return NaiveBayesClassifier(labels, n_feats, log_odds, deltas, fixed,
                                 masks=masks, warnings=warnings)
+
+
+def _train_naive_bayes(learner, index: Index):
+    view = index.arrays()
+    return _naive_bayes_model(
+        index.categories.names, _feature_masks(index),
+        *_nb_counts(view, slice(None), index.num_features),
+        view.labels.sum(axis=0), index.num_documents)
+
+
+#: below this total, every sum of a feature's counts is a float64 integer
+#: that any order of adding gives exactly
+_EXACT_COUNT_TOTAL = 2.0 ** 53
+
+
+def _naive_bayes_folds(learner, index: Index, folds):
+    """NB's fold classifiers (see fold_classifiers) without a copy of the
+    index: a fold's complement has the whole index's class counts less the
+    fold's, which is exact while every feature's total count is below
+    2^53.  At or above it, the complement's counts are counted directly,
+    as train counts them, in the same order."""
+    view = index.arrays()
+    n_docs, n_feats = index.num_documents, index.num_features
+    counts = None
+    for fold, test_ids in folds:
+        if counts is None:  # set up once `folds` has checked the plan
+            _check_training_index(index)
+            labels, masks = index.categories.names, _feature_masks(index)
+            counts = _nb_counts(view, slice(None), n_feats)
+            exact = not n_feats or counts[1].max() < _EXACT_COUNT_TOTAL
+            n_pos = view.labels.sum(axis=0)
+        if exact:
+            fold_pos, fold_totals = _nb_counts(
+                view, _doc_nonzeros(view.indptr, test_ids)[0], n_feats)
+            pos, totals = counts[0] - fold_pos, counts[1] - fold_totals
+        else:
+            kept = np.ones(n_docs, dtype=bool)
+            kept[test_ids] = False
+            pos, totals = _nb_counts(view, kept[view.rows], n_feats)
+        yield fold, test_ids, _naive_bayes_model(
+            labels, masks, pos, totals,
+            n_pos - view.labels[test_ids].sum(axis=0),
+            n_docs - len(test_ids))
 
 
 # -- Rocchio ---------------------------------------------------------------------
@@ -666,16 +733,27 @@ _TRAINERS = {
 }
 
 
+#: learner kind -> fold trainer, for the learners that train a fold's
+#: classifier faster than on a copy of the fold's complement
+_FOLD_TRAINERS = {
+    NAIVE_BAYES: _naive_bayes_folds,
+}
+
+
+def _check_training_index(index: Index) -> None:
+    if index.num_documents < 1:
+        raise ValidationError("cannot train on an empty index")
+    if index.num_categories < 1:
+        raise ValidationError("cannot train without categories")
+
+
 def train(learner, index: Index) -> TrainedClassifier:
     """Fit the learner on a training index; deterministic given its inputs.
 
     Categories without positive training documents yield a minimum-score
     model and are flagged in the classifier's warnings.
     """
-    if index.num_documents < 1:
-        raise ValidationError("cannot train on an empty index")
-    if index.num_categories < 1:
-        raise ValidationError("cannot train without categories")
+    _check_training_index(index)
     try:
         trainer = _TRAINERS[learner.kind]
     except (AttributeError, KeyError):
@@ -684,6 +762,19 @@ def train(learner, index: Index) -> TrainedClassifier:
     classifier.hyperparameters = {
         name: getattr(learner, name) for name in learner.__dataclass_fields__}
     return classifier
+
+
+def fold_classifiers(learner, index: Index, folds, train_complement):
+    """(fold, test ids, classifier) for each (fold, sorted test ids) of
+    `folds`, in order: the classifier trained on the index's other
+    documents, equal to train(learner, subset_index(index, keep_docs=those
+    documents)).  A learner with a fold trainer uses it; any other calls
+    train_complement(test ids) for each fold."""
+    trainer = _FOLD_TRAINERS.get(getattr(learner, "kind", None))
+    if trainer is not None:
+        return trainer(learner, index, folds)
+    return ((fold, test_ids, train_complement(test_ids))
+            for fold, test_ids in folds)
 
 
 def classify_document(classifier: TrainedClassifier, index: Index,
