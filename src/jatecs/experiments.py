@@ -11,6 +11,7 @@ thread pool over it never ran faster than one thread.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 from dataclasses import dataclass
@@ -43,7 +44,16 @@ class FoldPlan:
     seed: int
 
     def fold_documents(self, fold: int) -> list:
-        return sorted(d for d, f in self.assignment.items() if f == fold)
+        folds = self.folds()
+        return folds[fold] if 0 <= fold < self.k else []
+
+    def folds(self) -> list:
+        """Every fold's sorted document ids, in fold order, from one pass
+        over the assignment."""
+        folds = {fold: [] for fold in range(self.k)}
+        for d in sorted(self.assignment):  # a fold outside range(k) is dropped
+            folds.get(self.assignment[d], []).append(d)
+        return list(folds.values())
 
 
 def make_folds(index: Index, k: int, mode: str = SIMPLE,
@@ -69,25 +79,33 @@ def make_folds(index: Index, k: int, mode: str = SIMPLE,
         for i, d in enumerate(order):
             assignment[d] = i % k
     else:
+        # a document goes to the fold least by (members dealt, size, id);
+        # a heap of the folds by that key finds it without a scan
+        labels = index.arrays().labels
+        shuffled = np.array(order, dtype=np.intp)
+        dealt = np.full(n_docs, k)  # each document's fold, k until dealt
         sizes = [0] * k
         for c in range(index.num_categories):
-            members = index.category_documents(c)
-            per_fold = [0] * k
-            for d in assignment:
-                if d in members:
-                    per_fold[assignment[d]] += 1
-            for d in order:
-                if d not in members or d in assignment:
+            members = labels[:, c]
+            # the members dealt for earlier categories, counted per fold
+            per_fold = np.bincount(dealt[members], minlength=k + 1).tolist()
+            heap = [(per_fold[f], sizes[f], f) for f in range(k)]
+            heapq.heapify(heap)
+            for d in shuffled[members[shuffled]].tolist():
+                if d in assignment:
                     continue
-                fold = min(range(k), key=lambda f: (per_fold[f], sizes[f], f))
+                count, size, fold = heap[0]
+                heapq.heapreplace(heap, (count + 1, size + 1, fold))
                 assignment[d] = fold
-                per_fold[fold] += 1
-                sizes[fold] += 1
+                dealt[d] = fold
+                sizes[fold] = size + 1
+        heap = [(size, f) for f, size in enumerate(sizes)]
+        heapq.heapify(heap)
         for d in order:
             if d not in assignment:
-                fold = min(range(k), key=lambda f: (sizes[f], f))
+                size, fold = heap[0]
+                heapq.heapreplace(heap, (size + 1, fold))
                 assignment[d] = fold
-                sizes[fold] += 1
     return FoldPlan(k=k, assignment=assignment, mode=mode, seed=seed)
 
 
@@ -97,8 +115,7 @@ def _fold_ids(index: Index, plan: FoldPlan):
     n_docs = index.num_documents
     if set(plan.assignment) != set(range(n_docs)):
         raise ValidationError("fold plan does not cover this index")
-    for fold in range(plan.k):
-        test_ids = plan.fold_documents(fold)
+    for fold, test_ids in enumerate(plan.folds()):
         if not test_ids or len(test_ids) == n_docs:
             raise ValidationError(f"fold {fold} leaves an empty split")
         yield fold, test_ids

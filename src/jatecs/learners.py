@@ -13,7 +13,8 @@ matrix.  With nnz the training nonzeros and n those of the scored documents:
            counts of every category, and their logs come from a table
            filled at the counts that occur, without a sort; scoring adds n
            terms per category.  A fold model of out_of_fold takes the
-           whole index's counts less those of the fold's nonzeros
+           whole index's counts less those of the fold's nonzeros, and all
+           of a pass's fold models share one table of logs
   Rocchio  one weighted bincount over the nonzeros per category; scoring
            adds n profile products per category
   kNN      training keeps the view; score_index sorts it into feature-major
@@ -24,12 +25,14 @@ matrix.  With nnz the training nonzeros and n those of the scored documents:
            over those, sorted once by (row, -similarity, id), the votes.
            A single score_document call builds the postings too, so it
            costs O(nnz log D) rather than a scan's O(nnz)
-  boost    each category's nonzeros are split by class once; a round is one
-           weighted bincount over each class's nonzeros (W+ and W- of every
-           feature) and an argmin of Z over the features, and the chosen
-           stump's documents come from postings built once per train;
-           scoring adds the rounds in order over a row x stump feature
-           presence
+  boost    the categories advance through each round in lockstep, in
+           blocks of at most BOOST_BLOCK_CELLS keys: a round is one
+           weighted bincount over (class, category, feature) keys in CSR
+           order (every category's W+ and W- of every feature, and its
+           class totals) and a row-wise argmin of Z over the C x F matrix,
+           and the chosen stumps' documents come from postings built once
+           per train; scoring adds the rounds in order over a row x stump
+           feature presence
 
 Sums behind a score run left to right in ascending id, the order of a scalar
 loop, through :mod:`jatecs.sums` (or a weighted bincount, which adds in the
@@ -113,9 +116,19 @@ class KnnLearner:
         _check_finite(self, "threshold")
 
 
+#: the most boosting rounds a learner accepts; the rounds are trained one
+#: after another, so a training run's time grows with them
+MAX_ITERATIONS = 10_000
+
+
 @dataclass(frozen=True)
 class AdaBoostMHLearner:
-    """Real-valued one-feature stumps boosted for T rounds per category."""
+    """Real-valued one-feature stumps boosted for T rounds per category.
+
+    Each category picks its own stump feature in every round, the rule of
+    MP-Boost (Esuli, Fagni & Sebastiani 2006), rather than AdaBoost.MH's one
+    feature shared by all categories (Schapire & Singer 2000).
+    """
 
     kind = ADABOOST_MH
     iterations: int = 100
@@ -123,6 +136,9 @@ class AdaBoostMHLearner:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
+        if not self.iterations <= MAX_ITERATIONS:  # NaN fails it too
+            raise ValidationError(
+                f"iterations must be <= {MAX_ITERATIONS}")
 
 
 LEARNERS = {
@@ -235,8 +251,9 @@ class TrainedClassifier:
 
 
 def _doc_nonzeros(indptr, docs) -> tuple:
-    """(position, row in `docs`) of every nonzero of the sorted document ids
-    `docs` of a CSR, in CSR order."""
+    """(position, row in `docs`) of every nonzero of the rows `docs` of a
+    CSR (or of any offsets like it, such as feature-major postings), row
+    after row in the order of `docs`; sorted ids give CSR order."""
     docs = np.asarray(docs, dtype=np.intp)
     starts = indptr[docs]
     lengths = indptr[docs + 1] - starts
@@ -303,17 +320,20 @@ class NaiveBayesClassifier(TrainedClassifier):
                                            self.fixed)], axis=1)
 
 
-def _log_counts(counts: np.ndarray) -> np.ndarray:
+def _log_counts(counts: np.ndarray, table=None) -> np.ndarray:
     """math.log(n + 1.0) of every class count, 0.0 where it is 0.  The
-    counts are whole numbers; those below counts.size are looked up in a
-    table filled at the counts that occur, any larger ones go through
-    np.unique, so the table is never longer than `counts`."""
-    small = counts < counts.size
-    at = np.where(small, counts, 0).astype(np.intp)
-    occurring = np.flatnonzero(np.bincount(at.ravel())).tolist()
-    table = np.zeros(occurring[-1] + 1 if occurring else 1)
-    table[occurring] = [math.log(n + 1.0) for n in occurring]
-    out = table[at]
+    counts are whole numbers; those below the length of `table`, which
+    holds math.log(n + 1.0) at every n that may occur below it, are looked
+    up in it, any larger ones go through np.unique.  The default table is
+    filled at the counts below counts.size that occur, so it is never
+    longer than `counts`."""
+    if table is None:
+        at = np.where(counts < counts.size, counts, 0).astype(np.intp)
+        occurring = np.flatnonzero(np.bincount(at.ravel())).tolist()
+        table = np.zeros(occurring[-1] + 1 if occurring else 1)
+        table[occurring] = [math.log(n + 1.0) for n in occurring]
+    small = counts < len(table)
+    out = table[np.where(small, counts, 0).astype(np.intp)]
     if not small.all():
         values, inverse = np.unique(counts[~small], return_inverse=True)
         out[~small] = np.array([math.log(n + 1.0) for n in values.tolist()],
@@ -335,10 +355,11 @@ def _nb_counts(view, nz, n_feats: int) -> tuple:
     return pos, np.bincount(features, weights=counts, minlength=n_feats)
 
 
-def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int):
+def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int,
+                       log_table=None):
     """The classifier of the class counts `pos` and `totals` (see
     _nb_counts) of n_docs training documents, n_pos[c] of them in
-    category c."""
+    category c; `log_table` is _log_counts' table."""
     n_cats, n_feats = masks.shape
     neg = (totals - pos) * masks
     pos = pos * masks
@@ -365,8 +386,8 @@ def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int):
         if vocab[c]:  # without features there is no delta to normalize
             den_pos[c] = math.log(int(pos_totals[c]) + int(vocab[c]))
             den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
-    deltas = ((_log_counts(pos) - den_pos[:, None])
-              - (_log_counts(neg) - den_neg[:, None]))
+    deltas = ((_log_counts(pos, log_table) - den_pos[:, None])
+              - (_log_counts(neg, log_table) - den_neg[:, None]))
     deltas[~masks] = 0.0
     return NaiveBayesClassifier(labels, n_feats, log_odds, deltas, fixed,
                                 masks=masks, warnings=warnings)
@@ -390,7 +411,9 @@ def _naive_bayes_folds(learner, index: Index, folds):
     index: a fold's complement has the whole index's class counts less the
     fold's, which is exact while every feature's total count is below
     2^53.  At or above it, the complement's counts are counted directly,
-    as train counts them, in the same order."""
+    as train counts them, in the same order.  No fold count exceeds the
+    whole index's largest feature total, so one table of math.log(n + 1.0)
+    at every n up to it (at most C x F long) serves every fold."""
     view = index.arrays()
     n_docs, n_feats = index.num_documents, index.num_features
     counts = None
@@ -401,6 +424,8 @@ def _naive_bayes_folds(learner, index: Index, folds):
             counts = _nb_counts(view, slice(None), n_feats)
             exact = not n_feats or counts[1].max() < _EXACT_COUNT_TOTAL
             n_pos = view.labels.sum(axis=0)
+            log_table = np.array([math.log(n + 1.0) for n in range(min(
+                int(counts[1].max(initial=0.0)) + 1, max(1, masks.size)))])
         if exact:
             fold_pos, fold_totals = _nb_counts(
                 view, _doc_nonzeros(view.indptr, test_ids)[0], n_feats)
@@ -412,7 +437,7 @@ def _naive_bayes_folds(learner, index: Index, folds):
         yield fold, test_ids, _naive_bayes_model(
             labels, masks, pos, totals,
             n_pos - view.labels[test_ids].sum(axis=0),
-            n_docs - len(test_ids))
+            n_docs - len(test_ids), log_table)
 
 
 # -- Rocchio ---------------------------------------------------------------------
@@ -644,23 +669,79 @@ def _stump(w0p, w0m, w1p, w1m, epsilon):
     return z, c0, c1
 
 
-def _best_stump(w0p, w0m, w1p, w1m, epsilon, candidates):
-    """(Z, fID, c0, c1) of the candidate feature minimizing Z, lowest id
-    first among equals.  Z is screened for every feature with numpy, as
+#: the most (category, nonzero or document) keys of one block of categories
+#: boosted in lockstep.  Every round walks the block's arrays, which are kept
+#: small enough for a core's cache: with far larger blocks a round is slower
+#: than one category at a time
+BOOST_BLOCK_CELLS = 1 << 18
+
+
+def _boost_lockstep(positive, masks, rows, features, postings,
+                    iterations: int) -> tuple:
+    """(rounds, Z values) of each category of `positive` (C x D) and `masks`
+    (C x F), the categories advancing through every round together.
+
+    A round takes every category's W+ and W- of each feature, and its class
+    totals, from one weighted bincount over keys laid out category by
+    category in CSR order, so each sum adds its terms in ascending document
+    id.  Z is screened for every (category, feature) with numpy, as
     w+ r + w- / r with r = exp(-c) = sqrt((w- + epsilon) / (w+ + epsilon));
-    the few within rounding of the minimum are then compared by the exact
-    scalar Z, so the choice equals a scalar loop's."""
-    r0 = np.sqrt((w0m + epsilon) / (w0p + epsilon))
-    r1 = np.sqrt((w1m + epsilon) / (w1p + epsilon))
-    z = (w0p * r0 + w0m / r0 + w1p * r1 + w1m / r1)[candidates]
-    near = np.flatnonzero(z <= z.min() * (1.0 + 1e-9))
-    best = None
-    for f in candidates[near].tolist():
-        z_f, c0, c1 = _stump(float(w0p[f]), float(w0m[f]),
-                             float(w1p[f]), float(w1m[f]), epsilon)
-        if best is None or z_f < best[0]:
-            best = (z_f, f, c0, c1)
-    return best
+    the few within rounding of their category's minimum are then compared
+    by the exact scalar Z, lowest id first among equals, so each choice
+    equals a scalar loop's."""
+    n_cats, n_docs = positive.shape
+    n_feats = masks.shape[1]
+    n_cells = n_cats * n_feats
+    starts, docs = postings
+    epsilon = 1.0 / n_docs
+    cats = np.arange(n_cats)[:, None]
+    negative = ~positive
+    # one key per (category, nonzero), its (class, category, feature) cell,
+    # then one per (category, document), its (class, category) total
+    keys = np.concatenate((
+        (negative[:, rows] * n_cats + cats) * n_feats + features,
+        2 * n_cells + negative * n_cats + cats), axis=1).ravel()
+    gathers = (cats * n_docs + np.concatenate((rows, np.arange(n_docs)))
+               ).ravel()
+    blocked = np.where(masks, 0.0, np.inf)
+    # a document's place in the flat C x 4 table of update factors, with 2
+    # added where it holds the round's feature
+    outcome = positive + 4 * cats
+    weights = np.full((n_cats, n_docs), 1.0 / n_docs)
+    rounds = [[] for _ in range(n_cats)]
+    z_values = [[] for _ in range(n_cats)]
+    for _ in range(iterations):
+        sums = np.bincount(keys, np.take(weights, gathers),
+                           minlength=2 * n_cells + 2 * n_cats)
+        w1p, w1m = sums[:2 * n_cells].reshape(2, n_cats, n_feats)
+        w_pos, w_neg = sums[2 * n_cells:].reshape(2, n_cats, 1)
+        w0p, w0m = w_pos - w1p, w_neg - w1m
+        r0 = np.sqrt((w0m + epsilon) / (w0p + epsilon))
+        r1 = np.sqrt((w1m + epsilon) / (w1p + epsilon))
+        z = w0p * r0 + w0m / r0 + w1p * r1 + w1m / r1 + blocked
+        near = np.nonzero(z <= z.min(axis=1, keepdims=True) * (1.0 + 1e-9))
+        best = {}
+        for c, f, *terms in zip(*(a.tolist() for a in (
+                *near, w0p[near], w0m[near], w1p[near], w1m[near]))):
+            z_f, c0, c1 = _stump(*terms, epsilon)
+            if c not in best or z_f < best[c][0]:
+                best[c] = (z_f, f, c0, c1)
+        chosen, z_round, factors = [], [], []
+        for c in range(n_cats):
+            z_c, f, c0, c1 = best[c]
+            rounds[c].append((f, c0, c1))
+            z_values[c].append(z_c)
+            chosen.append(f)
+            z_round.append(z_c)
+            factors += (math.exp(c0), math.exp(-c0),
+                        math.exp(c1), math.exp(-c1))
+        # the documents holding each category's chosen feature
+        at, owners = _doc_nonzeros(starts, chosen)
+        place = outcome.copy()
+        place[owners, docs[at]] += 2
+        weights = weights * np.take(factors, place) / np.array(
+            z_round)[:, None]
+    return rounds, z_values
 
 
 def _train_boost(learner, index: Index):
@@ -668,58 +749,34 @@ def _train_boost(learner, index: Index):
     masks = _feature_masks(index)
     view = index.arrays()
     n_docs, n_feats = index.num_documents, index.num_features
+    has_positives = view.labels.any(axis=0)
+    warnings = [_no_positives(labels[c])
+                for c in np.flatnonzero(~has_positives).tolist()]
+    trained = np.flatnonzero(has_positives)
+    featureless = trained[~masks[trained].any(axis=1)]
+    if len(featureless):
+        raise ValidationError(f"category {labels[featureless[0]]!r} has "
+                              "no features to boost on")
     features = view.features.astype(np.intp)
     starts, order = _feature_major(features, n_feats)
-    docs = view.rows[order]
-    epsilon = 1.0 / n_docs
-    all_rounds = []
-    all_z = []
-    warnings = []
-    for c in range(index.num_categories):
-        positive = view.labels[:, c]
-        if not positive.any():
-            warnings.append(_no_positives(labels[c]))
-            all_rounds.append(None)
-            all_z.append([])
-            continue
-        candidates = np.flatnonzero(masks[c])
-        if not len(candidates):
-            raise ValidationError(
-                f"category {labels[c]!r} has no features to boost on")
-        # the nonzeros split by class, each in CSR order
-        positive_nz = positive[view.rows]
-        pos_features, pos_docs = (features[positive_nz],
-                                  view.rows[positive_nz])
-        neg_features, neg_docs = (features[~positive_nz],
-                                  view.rows[~positive_nz])
-        weights = np.full(n_docs, 1.0 / n_docs)
-        rounds = []
-        z_values = []
-        for _ in range(learner.iterations):
-            w_pos_total = seq_sum(weights[positive])
-            w_neg_total = seq_sum(weights[~positive])
-            # W+ and W- of every feature; bincount adds in CSR order, so
-            # each feature's sum runs in ascending document id
-            w1p = np.bincount(pos_features, weights[pos_docs],
-                              minlength=n_feats)
-            w1m = np.bincount(neg_features, weights[neg_docs],
-                              minlength=n_feats)
-            z, f, c0, c1 = _best_stump(w_pos_total - w1p, w_neg_total - w1m,
-                                       w1p, w1m, epsilon, candidates)
-            rounds.append((f, c0, c1))
-            z_values.append(z)
-            present = np.zeros(n_docs, dtype=bool)
-            present[docs[starts[f]:starts[f + 1]]] = True
-            factor = np.where(
-                present,
-                np.where(positive, math.exp(-c1), math.exp(c1)),
-                np.where(positive, math.exp(-c0), math.exp(c0)))
-            weights = weights * factor / z
-        all_rounds.append(rounds)
-        all_z.append(z_values)
+    postings = (starts, view.rows[order])
+    all_rounds = [None] * index.num_categories
+    all_z = [[] for _ in range(index.num_categories)]
+    # categories per block: its keys hold at most BOOST_BLOCK_CELLS
+    # (category, nonzero or document) cells, its Z screen as many
+    # (category, feature) cells
+    size = max(1, BOOST_BLOCK_CELLS // max(len(features) + n_docs, n_feats))
+    for first in range(0, len(trained), size):
+        block = trained[first:first + size]
+        for c, rounds, z_values in zip(block.tolist(), *_boost_lockstep(
+                np.ascontiguousarray(view.labels[:, block].T), masks[block],
+                view.rows, features, postings, learner.iterations)):
+            all_rounds[c] = rounds
+            all_z[c] = z_values
     return BoostClassifier(labels, n_feats, all_rounds, all_z,
-                           iterations=learner.iterations, epsilon=epsilon,
-                           masks=masks, warnings=warnings)
+                           iterations=learner.iterations,
+                           epsilon=1.0 / n_docs, masks=masks,
+                           warnings=warnings)
 
 
 # -- shared operations ---------------------------------------------------------------
