@@ -446,8 +446,6 @@ def build_index(docs, labels, categories) -> Index:
         _checked_entries(names, entries)
         or _walked_entries(names, ends, entries))
     label_matrix = _label_matrix(labels, doc_db, cat_db)
-    if counts is None:  # the exact conversion; 2**63 or more: OverflowError
-        counts = np.array(given, dtype=np.int64)
     features = np.fromiter(map(feat_db._ids.__getitem__, texts), np.int64,
                            len(texts))
     rows = np.repeat(np.arange(len(names)),
@@ -457,12 +455,22 @@ def build_index(docs, labels, categories) -> Index:
     first = np.diff(keys[order], prepend=-1) != 0  # keys are >= 0
     group = np.cumsum(first) - 1  # of each entry, in (document, feature) order
     at = order[first]  # the input position of each group's first entry
-    counts = counts[at]
     totals: dict = {}  # repeated groups: a float64 sum or sum() may round
     repeated = (np.bincount(group) > 1)[group]
     for g, i in zip(group[repeated].tolist(), order[repeated].tolist()):
         totals[g] = totals.get(g, 0) + given[i]
-    counts[list(totals)] = list(totals.values())
+    if counts is None:
+        # the exact conversion of each group's total, in the input order of
+        # the groups' first entries; 2**63 or more: OverflowError
+        seen = np.argsort(at)
+        counts = np.empty(len(at), dtype=np.int64)
+        counts[seen] = np.array(
+            [totals.get(g, given[i])
+             for g, i in zip(seen.tolist(), at[seen].tolist())],
+            dtype=np.int64)
+    else:
+        counts = counts[at]
+        counts[list(totals)] = list(totals.values())
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         weights = row_sums(group, weights[order], len(at), start=0.0)
     for bad, error in ((counts <= 0, "content entry {}: non-positive count"),
@@ -506,7 +514,8 @@ def _checked_entries(names, entries):
         feat_db = ConceptDb(dict.fromkeys(texts), kind="feature")
     except (ValidationError, TypeError, ValueError, OverflowError):
         return None
-    exact = counts.sum() < 2**52
+    with np.errstate(over="ignore"):  # an infinite sum is not exact either
+        exact = counts.sum() < 2**52
     return doc_db, feat_db, texts, given, counts if exact else None, weights
 
 

@@ -54,6 +54,18 @@ def scale_score(scaling: LogisticScaling, raw_score: float) -> float:
     return e / (1.0 + e)
 
 
+def scale_scores(scaling: LogisticScaling, raw_scores) -> np.ndarray:
+    """:func:`scale_score` of every raw score, bit for bit: the exponential
+    is math.exp's (numpy's exp may round another way), the rest are IEEE
+    operations on the same operands."""
+    with np.errstate(over="ignore"):  # slope * s may overflow to +-inf
+        x = scaling.slope * np.asarray(raw_scores, dtype=np.float64)
+    positive = x >= 0  # False for NaN, as in scale_score
+    e = np.fromiter(map(math.exp, np.where(positive, -x, x).tolist()),
+                    np.float64, len(x))
+    return np.where(positive, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _rate_curve(scores, labels):
     """(threshold, tpr, fpr) at every distinct score, descending threshold.
 
@@ -142,7 +154,7 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
     rates = {}
     for c, labels in enumerate(train_index.arrays().labels.T.tolist()):
         scores = oof_scores[:, c].tolist()
-        scaled = [scale_score(scaling, s) for s in scores]
+        scaled = scale_scores(scaling, oof_scores[:, c]).tolist()
         decided = oof_decisions[:, c].tolist()
         rates[c] = RatesEstimate(
             tpr=_mean_where(decided, labels, True),
@@ -215,7 +227,7 @@ def quantify(pool: QuantifierPool, test: Index) -> PrevalenceEstimate:
     decided = pool.classifier.decisions(scores).sum(axis=0).tolist()
     for c in range(pool.classifier.num_categories):
         rates = pool.rates[c]
-        scaled = [scale_score(pool.scaling, s) for s in scores[:, c].tolist()]
+        scaled = scale_scores(pool.scaling, scores[:, c])
         cc = decided[c] / n_docs
         pcc = seq_sum(scaled) / n_docs
         estimates["CC"][c] = _clip(cc)
@@ -224,7 +236,7 @@ def quantify(pool: QuantifierPool, test: Index) -> PrevalenceEstimate:
         estimates["PACC"][c] = _corrected(pcc, rates.tpr_p, rates.fpr_p)
         estimates["MAX"][c] = _at_best_threshold(rates.curve, scores[:, c], cc)
         estimates["PMAX"][c] = _at_best_threshold(rates.curve_scaled,
-                                                  np.array(scaled), pcc)
+                                                  scaled, pcc)
     return PrevalenceEstimate(estimates=estimates)
 
 

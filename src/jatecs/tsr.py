@@ -10,13 +10,17 @@ global variants, and round robin.
 Rankings count every (feature, category) pair at once from the index's
 array view (Yang & Pedersen 1997): df is one bincount over the nonzeros and
 each category's a one bincount over its documents' nonzeros.  Only distinct
-count tables are scored.
+count tables are scored.  A ranking keeps its id order and scores as two
+arrays; a (fID, score) pair is built only when a caller reads it, so the
+policies, which read a ranking's head, never build a whole ranking's pairs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -123,6 +127,41 @@ def tsr_score(counts: CooccurrenceCounts, func: str) -> float:
         raise ValidationError(f"unknown TSR function {func!r}") from None
 
 
+class RankingEntries(Sequence):
+    """The (fID, score) pairs of a ranking, read from its id order and its
+    scores: an item is an (int, float) pair, a slice a tuple of them.  It
+    compares equal to, and hashes like, the tuple of its pairs."""
+
+    __slots__ = ("ids", "scores")
+
+    def __init__(self, ids: np.ndarray, scores: np.ndarray):
+        self.ids, self.scores = ids, scores
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self.ids[i].tolist(), self.scores[i].tolist()))
+        return self.ids.item(i), self.scores.item(i)
+
+    def __iter__(self):
+        positions = range(len(self.ids))
+        return zip(map(self.ids.item, positions),
+                   map(self.scores.item, positions))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, RankingEntries)):
+            return self[:] == other  # a RankingEntries answers reflected
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 @dataclass(frozen=True)
 class FeatureRanking:
     """Features ordered by descending score; ties broken by ascending id.
@@ -131,10 +170,12 @@ class FeatureRanking:
     """
 
     scope: int | None
-    entries: tuple  # of (fID, score)
+    entries: Sequence  # of (fID, score): a tuple or a RankingEntries
 
     def top(self, k: int) -> list:
-        return [f for f, _ in self.entries[:k]]
+        """The ids of entries[:k], read without building the other pairs."""
+        stop = len(range(len(self.entries))[:k])  # as a slice takes k < 0
+        return [f for f, _ in islice(self.entries, stop)]
 
 
 def _category_scores(index: Index, func: str, categories) -> np.ndarray:
@@ -163,9 +204,10 @@ def _category_scores(index: Index, func: str, categories) -> np.ndarray:
 
 
 def _sorted_ranking(scope, scores: np.ndarray) -> FeatureRanking:
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return FeatureRanking(scope=scope, entries=tuple(
-        zip(order.tolist(), scores[order].tolist())))
+    order = np.argsort(-scores, kind="stable")  # ties: ascending id
+    ranked = scores[order]
+    order.flags.writeable = ranked.flags.writeable = False
+    return FeatureRanking(scope=scope, entries=RankingEntries(order, ranked))
 
 
 def rank_features(index: Index, func: str, scope=None, policy=GLOBAL_MAX):
@@ -216,21 +258,17 @@ def select_round_robin(rankings, k: int) -> set:
     if k < 1:
         raise ValidationError("k must be >= 1")
     selected: set = set()
-    cursors = [0] * len(rankings)
+    walks = [(f for f, _ in ranking.entries) for ranking in rankings]
     while len(selected) < k:
         progressed = False
-        for i, ranking in enumerate(rankings):
-            entries = ranking.entries
-            pos = cursors[i]
-            while pos < len(entries) and entries[pos][0] in selected:
-                pos += 1
-            cursors[i] = pos
-            if pos < len(entries):
-                selected.add(entries[pos][0])
-                cursors[i] = pos + 1
-                progressed = True
-                if len(selected) >= k:
-                    break
+        for walk in walks:
+            f = next((f for f in walk if f not in selected), None)
+            if f is None:
+                continue  # this ranking is exhausted
+            selected.add(f)
+            progressed = True
+            if len(selected) >= k:
+                break
         if not progressed:
             break  # every ranking exhausted
     return selected
