@@ -78,53 +78,76 @@ def _plog(p_joint: float, p_marg: float) -> float:
     return p_joint * math.log2(p_joint / p_marg)
 
 
-def information_gain(t: CooccurrenceCounts) -> float:
-    n = t.n
-    pt = (t.a + t.b) / n
-    pc = (t.a + t.c) / n
+# the formulas read the four counts a, b, c, d of one contingency table
+
+
+def _information_gain(a: int, b: int, c: int, d: int) -> float:
+    n = a + b + c + d
+    pt = (a + b) / n
+    pc = (a + c) / n
     score = 0.0
-    score += _plog(t.a / n, pt * pc) if pt * pc else 0.0
-    score += _plog(t.b / n, pt * (1 - pc)) if pt * (1 - pc) else 0.0
-    score += _plog(t.c / n, (1 - pt) * pc) if (1 - pt) * pc else 0.0
-    score += _plog(t.d / n, (1 - pt) * (1 - pc)) if (1 - pt) * (1 - pc) else 0.0
+    score += _plog(a / n, pt * pc) if pt * pc else 0.0
+    score += _plog(b / n, pt * (1 - pc)) if pt * (1 - pc) else 0.0
+    score += _plog(c / n, (1 - pt) * pc) if (1 - pt) * pc else 0.0
+    score += _plog(d / n, (1 - pt) * (1 - pc)) if (1 - pt) * (1 - pc) else 0.0
     return score
 
 
-def chi_square(t: CooccurrenceCounts) -> float:
-    denom = (t.a + t.c) * (t.b + t.d) * (t.a + t.b) * (t.c + t.d)
+def _chi_square(a: int, b: int, c: int, d: int) -> float:
+    denom = (a + c) * (b + d) * (a + b) * (c + d)
     if denom == 0:
         return 0.0
-    diff = t.a * t.d - t.c * t.b
-    return t.n * diff * diff / denom
+    diff = a * d - c * b
+    return (a + b + c + d) * diff * diff / denom
+
+
+def _pointwise_mutual_information(a: int, b: int, c: int, d: int) -> float:
+    if a == 0:
+        return 0.0
+    n = a + b + c + d
+    return math.log2((a / n) / (((a + b) / n) * ((a + c) / n)))
+
+
+def _odds_ratio(a: int, b: int, c: int, d: int) -> float:
+    # Haldane-Anscombe 0.5 smoothing avoids division by zero
+    return math.log(((a + 0.5) * (d + 0.5)) / ((b + 0.5) * (c + 0.5)))
+
+
+_FORMULAS = {
+    IG: _information_gain,
+    CHI2: _chi_square,
+    PMI: _pointwise_mutual_information,
+    ODDS_RATIO: _odds_ratio,
+}
+
+
+def information_gain(t: CooccurrenceCounts) -> float:
+    return _information_gain(t.a, t.b, t.c, t.d)
+
+
+def chi_square(t: CooccurrenceCounts) -> float:
+    return _chi_square(t.a, t.b, t.c, t.d)
 
 
 def pointwise_mutual_information(t: CooccurrenceCounts) -> float:
-    if t.a == 0:
-        return 0.0
-    n = t.n
-    return math.log2((t.a / n) / (((t.a + t.b) / n) * ((t.a + t.c) / n)))
+    return _pointwise_mutual_information(t.a, t.b, t.c, t.d)
 
 
 def odds_ratio(t: CooccurrenceCounts) -> float:
-    # Haldane-Anscombe 0.5 smoothing avoids division by zero
-    return math.log(((t.a + 0.5) * (t.d + 0.5)) / ((t.b + 0.5) * (t.c + 0.5)))
+    return _odds_ratio(t.a, t.b, t.c, t.d)
 
 
-_SCORERS = {
-    IG: information_gain,
-    CHI2: chi_square,
-    PMI: pointwise_mutual_information,
-    ODDS_RATIO: odds_ratio,
-}
+def _formula(func: str):
+    try:
+        return _FORMULAS[func]
+    except KeyError:
+        raise ValidationError(f"unknown TSR function {func!r}") from None
 
 
 def tsr_score(counts: CooccurrenceCounts, func: str) -> float:
     if counts.n <= 0:
         raise ValidationError("empty corpus: no documents to score against")
-    try:
-        return _SCORERS[func](counts)
-    except KeyError:
-        raise ValidationError(f"unknown TSR function {func!r}") from None
+    return _formula(func)(counts.a, counts.b, counts.c, counts.d)
 
 
 class RankingEntries(Sequence):
@@ -182,9 +205,11 @@ def _category_scores(index: Index, func: str, categories) -> np.ndarray:
     """len(categories) x F scores of every feature against each category.
 
     a[f] comes from one bincount of the category's nonzeros and df from one
-    bincount of all of them; tsr_score is called once per distinct
-    (a, df) pair, so every score is the scalar one bit for bit.
+    bincount of all of them; the scalar formula of `func` scores each
+    distinct (a, df) pair once, from its four counts, so every score is
+    tsr_score's bit for bit.
     """
+    formula = _formula(func)
     view = index.arrays()
     n, n_feats = index.num_documents, index.num_features
     df = np.bincount(view.features, minlength=n_feats)
@@ -196,8 +221,7 @@ def _category_scores(index: Index, func: str, categories) -> np.ndarray:
                         minlength=n_feats)
         pairs, inverse = np.unique(a * (n + 1) + df, return_inverse=True)
         a_values, df_values = divmod(pairs, n + 1)
-        distinct = [tsr_score(CooccurrenceCounts(a_, df_ - a_, n_pos - a_,
-                                                 n - df_ - n_pos + a_), func)
+        distinct = [formula(a_, df_ - a_, n_pos - a_, n - df_ - n_pos + a_)
                     for a_, df_ in zip(a_values.tolist(), df_values.tolist())]
         scores[row] = np.asarray(distinct)[inverse]
     return scores
