@@ -155,6 +155,7 @@ def out_of_fold(learner, index: Index, plan: FoldPlan) -> tuple:
         fold_scores = classifier.score_subset(index, test_ids)
         scores[test_ids] = fold_scores
         decisions[test_ids] = classifier.decisions(fold_scores)
+        del classifier  # before the next fold's is trained
     return scores, decisions, warnings
 
 

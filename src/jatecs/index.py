@@ -445,19 +445,32 @@ def build_index(docs, labels, categories) -> Index:
     doc_db, feat_db, texts, given, counts, weights = (
         _checked_entries(names, entries)
         or _walked_entries(names, ends, entries))
+    del entries  # the entries themselves stay alive in `docs`
     label_matrix = _label_matrix(labels, doc_db, cat_db)
-    features = np.fromiter(map(feat_db._ids.__getitem__, texts), np.int64,
-                           len(texts))
-    rows = np.repeat(np.arange(len(names)),
-                     np.diff(np.array(ends, dtype=np.int64), prepend=0))
-    keys = rows * len(feat_db) + features
+    # one (document, feature) key per entry, sorted once; a group is the
+    # entries of one key, in input order
+    n_feats = len(feat_db)
+    keys = np.fromiter(map(feat_db._ids.__getitem__, texts), np.int64,
+                       len(texts))
+    del texts
+    keys += np.repeat(np.arange(len(names), dtype=np.int64) * n_feats,
+                      np.diff(np.array(ends, dtype=np.int64), prepend=0))
     order = np.argsort(keys, kind="stable")
-    first = np.diff(keys[order], prepend=-1) != 0  # keys are >= 0
-    group = np.cumsum(first) - 1  # of each entry, in (document, feature) order
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    # the group and the input position of each entry of a repeated group
+    repeats = np.flatnonzero(~(first & np.append(first[1:], True)))
+    group = np.cumsum(first)[repeats] - 1
+    repeats = order[repeats]
     at = order[first]  # the input position of each group's first entry
+    del order
+    keys = keys[first]
+    del first
+    rows, features = np.divmod(keys, n_feats)
+    del keys
     totals: dict = {}  # repeated groups: a float64 sum or sum() may round
-    repeated = (np.bincount(group) > 1)[group]
-    for g, i in zip(group[repeated].tolist(), order[repeated].tolist()):
+    for g, i in zip(group.tolist(), repeats.tolist()):
         totals[g] = totals.get(g, 0) + given[i]
     if counts is None:
         # the exact conversion of each group's total, in the input order of
@@ -471,16 +484,22 @@ def build_index(docs, labels, categories) -> Index:
     else:
         counts = counts[at]
         counts[list(totals)] = list(totals.values())
+        counts = counts.astype(np.int64)
+    del given
+    repeated, inverse = np.unique(group, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        weights = row_sums(group, weights[order], len(at), start=0.0)
+        sums = row_sums(inverse, weights[repeats], len(repeated), start=0.0)
+        weights = weights[at]
+        weights += 0.0  # a lone weight w is stored as 0.0 + w
+        weights[repeated] = sums
     for bad, error in ((counts <= 0, "content entry {}: non-positive count"),
                        (~np.isfinite(weights),
                         "weighting entry {}: non-finite weight")):
         if bad.any():  # the first bad group in input order
-            i = at[bad].min()
-            raise ValidationError(error.format((int(rows[i]), int(features[i]))))
-    arrays = _csr(len(names), rows[at], features[at], counts, weights,
-                  label_matrix)
+            g = np.flatnonzero(bad)[np.argmin(at[bad])]
+            raise ValidationError(error.format((int(rows[g]),
+                                                int(features[g]))))
+    arrays = _csr(len(names), rows, features, counts, weights, label_matrix)
     return Index._from_arrays(cat_db, feat_db, doc_db, arrays,
                               _frozen(np.ones(len(at), dtype=bool)),
                               GLOBAL_DOMAIN)
@@ -498,6 +517,8 @@ def _checked_entries(names, entries):
         sizes = np.fromiter(map(len, entries), np.int64, len(entries))
         if not np.isin(sizes, (2, 3)).all():
             return None
+        threes = np.flatnonzero(sizes == 3)
+        del sizes
         given = list(map(itemgetter(1), entries))
         if not set(map(type, given)) <= {int, float}:
             return None
@@ -506,8 +527,7 @@ def _checked_entries(names, entries):
                 and (np.floor(counts) == counts).all()):
             return None
         weights = counts.copy()
-        explicit = [i for i in np.flatnonzero(sizes == 3).tolist()
-                    if entries[i][2] is not None]
+        explicit = [i for i in threes.tolist() if entries[i][2] is not None]
         weights[explicit] = [float(entries[i][2]) for i in explicit]
         doc_db = ConceptDb(names, kind="document")
         texts = list(map(itemgetter(0), entries))
@@ -667,11 +687,11 @@ def _renumbered(old_ids, n) -> np.ndarray:
 FORMAT_VERSION = 1
 
 #: rows per %-format when encoding a relation; bounds the size of the
-#: format string and of the tuple of cells it formats
-_ENCODE_CHUNK_ROWS = 2**16
+#: format string and of the list and tuple of cells it formats
+_ENCODE_CHUNK_ROWS = 2**12
 
 
-def _format_rows(row_format: str, *columns) -> str:
+def _format_rows(row_format: str, *columns) -> bytes:
     """One `row_format` line per row of the equal-length `columns`."""
     width = len(columns)
     n = len(columns[0])
@@ -681,52 +701,55 @@ def _format_rows(row_format: str, *columns) -> str:
         cells = [None] * ((stop - start) * width)
         for j, column in enumerate(columns):
             cells[j::width] = column[start:stop].tolist()
-        text.append(row_format * (stop - start) % tuple(cells))
-    return "".join(text)
+        text.append((row_format * (stop - start) % tuple(cells)).encode())
+    return b"".join(text)
+
+
+def _index_files(index: Index):
+    """(file name, bytes) of each file of the serialized form, one file
+    encoded at a time."""
+    def lines(pairs):
+        return "".join(f"{a}\t{b}\n" for a, b in pairs).encode("utf-8")
+
+    yield "meta.tsv", lines((("format_version", FORMAT_VERSION),
+                             ("documents", index.num_documents),
+                             ("features", index.num_features),
+                             ("categories", index.num_categories)))
+    yield "categories.tsv", lines(index.categories)
+    yield "features.tsv", lines(index.features)
+    yield "documents.tsv", lines(index.documents)
+    a, weighted = index.arrays(), index._weighted
+    content = _format_rows("%d\t%d\t%d\n", a.rows, a.features, a.counts)
+    yield "content.tsv", content
+    if (weighted.all() and (not a.counts.size or a.counts.max() <= 2**53)
+            and np.array_equal(a.weights, a.counts)):
+        yield "weights.tsv", content.replace(b"\n", b".0\n")
+    else:
+        yield "weights.tsv", _format_rows(
+            "%d\t%d\t%r\n", a.rows[weighted], a.features[weighted],
+            a.weights[weighted])
+    del content
+    yield "classification.tsv", _format_rows("%d\t%d\n",
+                                             *np.nonzero(a.labels))
+    if index.domain.local:
+        yield "domain.tsv", lines(sorted(
+            (f, c) for c, fs in index.domain.valid.items() for f in fs))
 
 
 def index_file_map(index: Index) -> dict:
     """The serialized form as {filename: bytes}."""
-    def concepts(db):
-        return "".join(f"{i}\t{name}\n" for i, name in db)
-
-    a, weighted = index.arrays(), index._weighted
-    content = _format_rows("%d\t%d\t%d\n", a.rows, a.features, a.counts)
-    if (weighted.all() and (not a.counts.size or a.counts.max() <= 2**53)
-            and np.array_equal(a.weights, a.counts)):
-        weights = content.replace("\n", ".0\n")
-    else:
-        weights = _format_rows("%d\t%d\t%r\n", a.rows[weighted],
-                               a.features[weighted], a.weights[weighted])
-    meta = (("format_version", FORMAT_VERSION),
-            ("documents", index.num_documents),
-            ("features", index.num_features),
-            ("categories", index.num_categories))
-    files = {
-        "meta.tsv": "".join(f"{key}\t{value}\n" for key, value in meta),
-        "categories.tsv": concepts(index.categories),
-        "features.tsv": concepts(index.features),
-        "documents.tsv": concepts(index.documents),
-        "content.tsv": content,
-        "classification.tsv": _format_rows("%d\t%d\n",
-                                           *np.nonzero(a.labels)),
-        "weights.tsv": weights,
-    }
-    if index.domain.local:
-        pairs = sorted((f, c) for c, fs in index.domain.valid.items() for f in fs)
-        files["domain.tsv"] = "".join(f"{f}\t{c}\n" for f, c in pairs)
-    return {name: text.encode("utf-8") for name, text in files.items()}
+    return dict(_index_files(index))
 
 
 def serialize_index(index: Index, directory) -> None:
-    """Write the index files; a global index also removes the domain.tsv
-    an earlier local index left in `directory`."""
+    """Write the index files, each as soon as it is encoded; a global index
+    also removes the domain.tsv an earlier local index left in
+    `directory`."""
     os.makedirs(directory, exist_ok=True)
-    files = index_file_map(index)
-    for name, data in files.items():
+    for name, data in _index_files(index):
         with open(os.path.join(directory, name), "wb") as fh:
             fh.write(data)
-    if "domain.tsv" not in files:
+    if not index.domain.local:
         with suppress(FileNotFoundError):
             os.remove(os.path.join(directory, "domain.tsv"))
 

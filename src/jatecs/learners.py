@@ -328,12 +328,16 @@ def _log_counts(counts: np.ndarray, table=None) -> np.ndarray:
     filled at the counts below counts.size that occur, so it is never
     longer than `counts`."""
     if table is None:
-        at = np.where(counts < counts.size, counts, 0).astype(np.intp)
-        occurring = np.flatnonzero(np.bincount(at.ravel())).tolist()
+        occurring = np.flatnonzero(np.bincount(np.where(
+            counts < counts.size, counts, 0).astype(np.intp).ravel())).tolist()
         table = np.zeros(occurring[-1] + 1 if occurring else 1)
         table[occurring] = [math.log(n + 1.0) for n in occurring]
     small = counts < len(table)
-    out = table[np.where(small, counts, 0).astype(np.intp)]
+    # the table position of each count, cast as it is computed (no float
+    # copy); a count past the table reads its last entry until replaced
+    at = np.empty(counts.shape, dtype=np.intp)
+    np.minimum(counts, len(table) - 1, out=at, casting="unsafe")
+    out = table[at]
     if not small.all():
         values, inverse = np.unique(counts[~small], return_inverse=True)
         out[~small] = np.array([math.log(n + 1.0) for n in values.tolist()],
@@ -359,10 +363,12 @@ def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int,
                        log_table=None):
     """The classifier of the class counts `pos` and `totals` (see
     _nb_counts) of n_docs training documents, n_pos[c] of them in
-    category c; `log_table` is _log_counts' table."""
+    category c; `log_table` is _log_counts' table.  `pos` is masked in
+    place, so the caller hands it over."""
     n_cats, n_feats = masks.shape
-    neg = (totals - pos) * masks
-    pos = pos * masks
+    neg = totals - pos
+    neg *= masks
+    pos *= masks
     vocab = masks.sum(axis=1)
     pos_totals, neg_totals = pos.sum(axis=1), neg.sum(axis=1)
     log_odds = np.zeros(n_cats)
@@ -386,8 +392,12 @@ def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int,
         if vocab[c]:  # without features there is no delta to normalize
             den_pos[c] = math.log(int(pos_totals[c]) + int(vocab[c]))
             den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
-    deltas = ((_log_counts(pos, log_table) - den_pos[:, None])
-              - (_log_counts(neg, log_table) - den_neg[:, None]))
+    # (log pos - den_pos) - (log neg - den_neg), each step in place
+    deltas = _log_counts(pos, log_table)
+    deltas -= den_pos[:, None]
+    neg = _log_counts(neg, log_table)
+    neg -= den_neg[:, None]
+    deltas -= neg
     deltas[~masks] = 0.0
     return NaiveBayesClassifier(labels, n_feats, log_odds, deltas, fixed,
                                 masks=masks, warnings=warnings)
@@ -430,6 +440,7 @@ def _naive_bayes_folds(learner, index: Index, folds):
             fold_pos, fold_totals = _nb_counts(
                 view, _doc_nonzeros(view.indptr, test_ids)[0], n_feats)
             pos, totals = counts[0] - fold_pos, counts[1] - fold_totals
+            del fold_pos, fold_totals
         else:
             kept = np.ones(n_docs, dtype=bool)
             kept[test_ids] = False
@@ -438,6 +449,7 @@ def _naive_bayes_folds(learner, index: Index, folds):
             labels, masks, pos, totals,
             n_pos - view.labels[test_ids].sum(axis=0),
             n_docs - len(test_ids), log_table)
+        del pos, totals  # before the next fold's counts
 
 
 # -- Rocchio ---------------------------------------------------------------------

@@ -150,6 +150,10 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
         warnings.append(message)
     plan = make_folds(train_index, folds, mode=mode, seed=0)
     oof_scores, oof_decisions, _ = out_of_fold(learner, train_index, plan)
+    # trained before the rate curves are built, so its training buffers and
+    # the curves are not alive at once
+    classifier = train(learner, train_index)
+    warnings.extend(classifier.warnings)
 
     rates = {}
     for c, labels in enumerate(train_index.arrays().labels.T.tolist()):
@@ -163,9 +167,6 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
             fpr_p=_mean_where(scaled, labels, False),
             curve=_rate_curve(scores, labels),
             curve_scaled=_rate_curve(scaled, labels))
-
-    classifier = train(learner, train_index)
-    warnings.extend(classifier.warnings)
     return QuantifierPool(classifier=classifier, scaling=scaling, rates=rates,
                           category_labels=train_index.categories.names,
                           warnings=tuple(warnings))
