@@ -3,7 +3,8 @@
 Fold assignment is driven by the deterministic seeded generator, so plans,
 evaluations and grid searches are exactly reproducible.  `out_of_fold` is
 the one pass that trains on each fold's complement and scores the fold;
-k-fold tables, grid points and the quantifiers' rates are read from it.
+k-fold tables, grid points and the quantifiers' rates are read from it,
+without a copy of the index (`fold_splits` yields the folds as copies).
 Folds and grid points run one after another, in (point, fold) order.  The
 `threads` keyword is accepted and ignored: the work is GIL-bound, and a
 thread pool over it never ran faster than one thread.
@@ -121,16 +122,12 @@ def _fold_ids(index: Index, plan: FoldPlan):
         yield fold, test_ids
 
 
-def _complement(index: Index, test_ids) -> set:
-    return set(range(index.num_documents)).difference(test_ids)
-
-
 def fold_splits(index: Index, plan: FoldPlan):
     """(fold, test ids, training index, test index) of every fold, in order,
     with out_of_fold's plan checks."""
     for fold, test_ids in _fold_ids(index, plan):
-        yield (fold, test_ids,
-               subset_index(index, keep_docs=_complement(index, test_ids)),
+        rest = set(range(index.num_documents)).difference(test_ids)
+        yield (fold, test_ids, subset_index(index, keep_docs=rest),
                subset_index(index, keep_docs=set(test_ids)))
 
 
@@ -138,19 +135,16 @@ def out_of_fold(learner, index: Index, plan: FoldPlan) -> tuple:
     """(D x C scores, D x C decisions, [(fold, warning)]) of classifiers
     trained on each fold's complement, each scoring its fold, in fold order.
 
-    A learner with a fold trainer (Naive Bayes) trains without copying the
-    index; any other trains on a subset_index copy of the complement.
-    Every fold is scored in place, without a copy of its documents."""
+    No fold copies the index: Naive Bayes takes each fold model from the
+    whole index's class counts, any other learner trains through
+    train(learner, index, complement ids), and every fold is scored in
+    place."""
     scores = np.zeros((index.num_documents, index.num_categories))
     decisions = np.zeros(scores.shape, dtype=bool)
     warnings = []
-
-    def train_complement(test_ids):
-        # through this module's names, which bench/tracing.py rebinds
-        return train(learner, subset_index(
-            index, keep_docs=_complement(index, test_ids)))
+    # through this module's train, which bench/tracing.py rebinds
     for fold, test_ids, classifier in fold_classifiers(
-            learner, index, _fold_ids(index, plan), train_complement):
+            learner, index, _fold_ids(index, plan), train):
         warnings.extend((fold, message) for message in classifier.warnings)
         fold_scores = classifier.score_subset(index, test_ids)
         scores[test_ids] = fold_scores

@@ -171,6 +171,28 @@ def _csr(n_docs, rows, features, counts, weights, labels) -> IndexArrays:
         labels=_frozen(labels))
 
 
+def _doc_nonzeros(indptr, docs) -> tuple:
+    """(position, row in `docs`) of every nonzero of the rows `docs` of a
+    CSR (or of any offsets like it, such as feature-major postings), row
+    after row in the order of `docs`; sorted ids give CSR order."""
+    docs = np.asarray(docs, dtype=np.intp)
+    starts = indptr[docs]
+    lengths = indptr[docs + 1] - starts
+    rows = np.repeat(np.arange(len(docs)), lengths)
+    # a nonzero's position: its row's start plus its rank within the row
+    offsets = starts - (np.cumsum(lengths) - lengths)
+    return offsets[rows] + np.arange(len(rows)), rows
+
+
+def document_arrays(arrays: IndexArrays, docs) -> tuple:
+    """(arrays, positions): the arrays of the sorted document ids `docs`,
+    renumbered from 0 in their order, and where their nonzeros sit in
+    `arrays`.  The arrays are those of subset_index(keep_docs=docs)."""
+    nz, rows = _doc_nonzeros(arrays.indptr, docs)
+    return _csr(len(docs), rows, arrays.features[nz], arrays.counts[nz],
+                arrays.weights[nz], arrays.labels[docs]), nz
+
+
 class _Rows:
     """The rows of one relation (`rows`) and checks on them; a subclass's
     `fail(row, message)` makes the error that says where the row is."""
@@ -627,44 +649,33 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
         raise ValidationError("specify exactly one of keep_docs / keep_features")
     a = index.arrays()
     doc_db, feat_db, domain = index.documents, index.features, index.domain
-    new_docs = np.arange(index.num_documents)
-    new_feats = np.arange(index.num_features)
-    labels = a.labels
     if keep_docs is not None:
-        if not keep_docs:
+        old_ids = sorted(set(keep_docs))
+        if not old_ids:
             raise ValidationError("empty document keep set")
-        old_ids = sorted(keep_docs)
         doc_db = ConceptDb([doc_db.name(d) for d in old_ids],
                            kind="document", _checked=True)
-        new_docs = _renumbered(old_ids, index.num_documents)
-        labels = a.labels[old_ids]
+        arrays, kept = document_arrays(a, old_ids)
     else:
-        if not keep_features:
+        old_ids = sorted(set(keep_features))
+        if not old_ids:
             raise ValidationError("empty feature keep set")
-        old_ids = sorted(keep_features)
         feat_db = ConceptDb([feat_db.name(f) for f in old_ids],
                             kind="feature", _checked=True)
-        new_feats = _renumbered(old_ids, index.num_features)
+        # a feature's new id: its rank among the kept ones, -1 if dropped
+        new_feats = np.full(index.num_features, -1, dtype=np.int64)
+        new_feats[old_ids] = np.arange(len(old_ids))
         if domain.local:
             remap = dict(zip(old_ids, range(len(old_ids))))
             domain = DomainDb(local=True, valid={
                 c: frozenset(remap[f] for f in fs if f in remap)
                 for c, fs in domain.valid.items()
             })
-    kept = (new_docs[a.rows] >= 0) & (new_feats[a.features] >= 0)
-    arrays = _csr(len(doc_db), new_docs[a.rows[kept]],
-                  new_feats[a.features[kept]], a.counts[kept],
-                  a.weights[kept], labels)
+        kept = new_feats[a.features] >= 0
+        arrays = _csr(len(doc_db), a.rows[kept], new_feats[a.features[kept]],
+                      a.counts[kept], a.weights[kept], a.labels)
     return Index._from_arrays(index.categories, feat_db, doc_db, arrays,
                               _frozen(index._weighted[kept]), domain)
-
-
-def _renumbered(old_ids, n) -> np.ndarray:
-    """New id of each of n old ids: its rank among the sorted `old_ids`,
-    -1 for an id not kept."""
-    new_ids = np.full(n, -1, dtype=np.int64)
-    new_ids[old_ids] = np.arange(len(old_ids))
-    return new_ids
 
 
 # -- serialization ----------------------------------------------------------

@@ -7,7 +7,10 @@ learner consumes binary feature presence.
 
 Training and scoring read the index's array view (:meth:`Index.arrays`): a
 document-major CSR of the content and weighting relations plus a D x C label
-matrix.  With nnz the training nonzeros and n those of the scored documents:
+matrix.  A trainer reads a training view, the C x F feature mask and the
+category names; `train` hands it the whole view, or given document ids
+their rows cut from it, as subset_index cuts them.  With nnz the training
+nonzeros and n those of the scored documents:
 
   NB       one bincount over the (nonzero, label) pairs gives the class
            counts of every category, and their logs come from a table
@@ -59,7 +62,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .evaluation import label_map
-from .index import Index
+from .index import Index, _doc_nonzeros, document_arrays
 from .sums import row_sums, seq_sum
 
 #: score emitted for categories that could not be trained (no positives)
@@ -250,19 +253,6 @@ class TrainedClassifier:
                 view.weights[nz])
 
 
-def _doc_nonzeros(indptr, docs) -> tuple:
-    """(position, row in `docs`) of every nonzero of the rows `docs` of a
-    CSR (or of any offsets like it, such as feature-major postings), row
-    after row in the order of `docs`; sorted ids give CSR order."""
-    docs = np.asarray(docs, dtype=np.intp)
-    starts = indptr[docs]
-    lengths = indptr[docs + 1] - starts
-    rows = np.repeat(np.arange(len(docs)), lengths)
-    # a nonzero's position: its row's start plus its rank within the row
-    offsets = starts - (np.cumsum(lengths) - lengths)
-    return offsets[rows] + np.arange(len(rows)), rows
-
-
 def _feature_masks(index: Index) -> np.ndarray:
     """C x F validity of the index's feature domain; all True when global."""
     if not index.domain.local:
@@ -356,7 +346,9 @@ def _nb_counts(view, nz, n_feats: int) -> tuple:
     n_cats = view.labels.shape[1]
     pos = np.bincount(cats * n_feats + features[at], weights=counts[at],
                       minlength=n_cats * n_feats).reshape(n_cats, n_feats)
-    return pos, np.bincount(features, weights=counts, minlength=n_feats)
+    totals = np.bincount(features, weights=counts, minlength=n_feats)
+    # a bincount of no values is int64, weights or not
+    return pos.astype(float, copy=False), totals.astype(float, copy=False)
 
 
 def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int,
@@ -403,12 +395,10 @@ def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int,
                                 masks=masks, warnings=warnings)
 
 
-def _train_naive_bayes(learner, index: Index):
-    view = index.arrays()
+def _train_naive_bayes(learner, view, masks, labels):
     return _naive_bayes_model(
-        index.categories.names, _feature_masks(index),
-        *_nb_counts(view, slice(None), index.num_features),
-        view.labels.sum(axis=0), index.num_documents)
+        labels, masks, *_nb_counts(view, slice(None), masks.shape[1]),
+        view.labels.sum(axis=0), view.labels.shape[0])
 
 
 #: below this total, every sum of a feature's counts is a float64 integer
@@ -490,16 +480,14 @@ class RocchioClassifier(TrainedClassifier):
         return scores
 
 
-def _train_rocchio(learner, index: Index):
-    labels = index.categories.names
-    masks = _feature_masks(index)
-    view = index.arrays()
-    n_docs = index.num_documents
-    profiles = np.zeros((index.num_categories, index.num_features))
+def _train_rocchio(learner, view, masks, labels):
+    n_docs = view.labels.shape[0]
+    n_cats, n_feats = masks.shape
+    profiles = np.zeros((n_cats, n_feats))
     norms = []
     trained = []
     warnings = []
-    for c in range(index.num_categories):
+    for c in range(n_cats):
         positive = view.labels[:, c]
         n_pos = int(positive.sum())
         trained.append(n_pos > 0)
@@ -513,12 +501,12 @@ def _train_rocchio(learner, index: Index):
         scale = np.where(positive, pos_w, -neg_w)
         profile = np.bincount(view.features,
                               weights=scale[view.rows] * view.weights,
-                              minlength=index.num_features)
+                              minlength=n_feats)
         profile[~masks[c]] = 0.0
         profile[~(profile > 0.0)] = 0.0
         profiles[c] = profile
         norms.append(math.sqrt(seq_sum(profile * profile)))
-    return RocchioClassifier(labels, index.num_features, profiles, norms,
+    return RocchioClassifier(labels, n_feats, profiles, norms,
                              trained, learner.threshold, masks=masks,
                              warnings=warnings)
 
@@ -617,19 +605,15 @@ def _knn_blocks(rows, lengths, n: int, n_train: int) -> list:
     return blocks
 
 
-def _train_knn(learner, index: Index):
-    labels = index.categories.names
-    masks = _feature_masks(index)
-    view = index.arrays()
-    n_docs = index.num_documents
+def _train_knn(learner, view, masks, labels):
     squares = view.weights * view.weights
     norms = np.sqrt(np.stack([
-        np.bincount(view.rows, minlength=n_docs,
+        np.bincount(view.rows, minlength=view.labels.shape[0],
                     weights=squares * masks[group[0], view.features])
         for group in _mask_groups(masks)]))
     warnings = [_no_positives(labels[c])
                 for c in np.flatnonzero(~view.labels.any(axis=0)).tolist()]
-    return KnnClassifier(labels, index.num_features, view, norms, learner.k,
+    return KnnClassifier(labels, masks.shape[1], view, norms, learner.k,
                          learner.threshold, masks=masks, warnings=warnings)
 
 
@@ -756,11 +740,9 @@ def _boost_lockstep(positive, masks, rows, features, postings,
     return rounds, z_values
 
 
-def _train_boost(learner, index: Index):
-    labels = index.categories.names
-    masks = _feature_masks(index)
-    view = index.arrays()
-    n_docs, n_feats = index.num_documents, index.num_features
+def _train_boost(learner, view, masks, labels):
+    n_docs = view.labels.shape[0]
+    n_cats, n_feats = masks.shape
     has_positives = view.labels.any(axis=0)
     warnings = [_no_positives(labels[c])
                 for c in np.flatnonzero(~has_positives).tolist()]
@@ -772,8 +754,8 @@ def _train_boost(learner, index: Index):
     features = view.features.astype(np.intp)
     starts, order = _feature_major(features, n_feats)
     postings = (starts, view.rows[order])
-    all_rounds = [None] * index.num_categories
-    all_z = [[] for _ in range(index.num_categories)]
+    all_rounds = [None] * n_cats
+    all_z = [[] for _ in range(n_cats)]
     # categories per block: its keys hold at most BOOST_BLOCK_CELLS
     # (category, nonzero or document) cells, its Z screen as many
     # (category, feature) cells
@@ -802,13 +784,6 @@ _TRAINERS = {
 }
 
 
-#: learner kind -> fold trainer, for the learners that train a fold's
-#: classifier faster than on a copy of the fold's complement
-_FOLD_TRAINERS = {
-    NAIVE_BAYES: _naive_bayes_folds,
-}
-
-
 def _check_training_index(index: Index) -> None:
     if index.num_documents < 1:
         raise ValidationError("cannot train on an empty index")
@@ -816,33 +791,47 @@ def _check_training_index(index: Index) -> None:
         raise ValidationError("cannot train without categories")
 
 
-def train(learner, index: Index) -> TrainedClassifier:
+def train(learner, index: Index, docs=None) -> TrainedClassifier:
     """Fit the learner on a training index; deterministic given its inputs.
 
-    Categories without positive training documents yield a minimum-score
-    model and are flagged in the classifier's warnings.
+    Given `docs`, ascending document ids, it fits on those documents alone,
+    from their rows of the index's arrays: the classifier equals
+    train(learner, subset_index(index, keep_docs=docs)) bit for bit,
+    without the copy.  Categories without positive training documents yield
+    a minimum-score model and are flagged in the classifier's warnings.
     """
     _check_training_index(index)
     try:
         trainer = _TRAINERS[learner.kind]
     except (AttributeError, KeyError):
         raise ValidationError(f"unknown learner {learner!r}") from None
-    classifier = trainer(learner, index)
+    view = index.arrays()
+    if docs is not None:
+        docs = np.asarray(docs)
+        if docs.dtype.kind not in "iu" or docs.ndim != 1 or not len(docs) \
+                or docs[0] < 0 or docs[-1] >= index.num_documents \
+                or (docs[1:] <= docs[:-1]).any():
+            raise ValidationError("training documents must be ascending ids "
+                                  f"below {index.num_documents}, at least one")
+        view = document_arrays(view, docs)[0]
+    classifier = trainer(learner, view, _feature_masks(index),
+                         index.categories.names)
     classifier.hyperparameters = {
         name: getattr(learner, name) for name in learner.__dataclass_fields__}
     return classifier
 
 
-def fold_classifiers(learner, index: Index, folds, train_complement):
+def fold_classifiers(learner, index: Index, folds, trainer):
     """(fold, test ids, classifier) for each (fold, sorted test ids) of
     `folds`, in order: the classifier trained on the index's other
     documents, equal to train(learner, subset_index(index, keep_docs=those
-    documents)).  A learner with a fold trainer uses it; any other calls
-    train_complement(test ids) for each fold."""
-    trainer = _FOLD_TRAINERS.get(getattr(learner, "kind", None))
-    if trainer is not None:
-        return trainer(learner, index, folds)
-    return ((fold, test_ids, train_complement(test_ids))
+    documents)).  Naive Bayes takes each fold's model from the whole
+    index's class counts; any other learner calls trainer(learner, index,
+    the other documents' ids), that is train or a stand-in for it."""
+    if getattr(learner, "kind", None) == NAIVE_BAYES:
+        return _naive_bayes_folds(learner, index, folds)
+    return ((fold, test_ids, trainer(learner, index, np.delete(
+                np.arange(index.num_documents), test_ids)))
             for fold, test_ids in folds)
 
 
