@@ -12,12 +12,16 @@ category names; `train` hands it the whole view, or given document ids
 their rows cut from it, as subset_index cuts them.  With nnz the training
 nonzeros and n those of the scored documents:
 
-  NB       one bincount over the (nonzero, label) pairs gives the class
-           counts of every category, and their logs come from a table
-           filled at the counts that occur, without a sort; scoring adds n
-           terms per category.  A fold model of out_of_fold takes the
-           whole index's counts less those of the fold's nonzeros, and all
-           of a pass's fold models share one table of logs
+  NB       one bincount over the (nonzero, label) pairs gives the counts
+           of the (category, feature) cells that occur, found by one
+           np.unique of the pairs, and their logs come from a table filled
+           at the counts that occur.  Any other cell's delta is a term of
+           its category's less a term of its feature's, so a model holds
+           O(nnz + C + F) floats beside its C x F mask.  Scoring builds
+           the C x U deltas of the U features it reads and adds n terms
+           per category.  A fold model of out_of_fold takes the whole
+           index's cell counts less those of the fold's pairs, and all of
+           a pass's fold models share one table of logs
   Rocchio  one weighted bincount over the nonzeros per category; scoring
            adds n profile products per category
   kNN      training keeps the view; score_index sorts it into feature-major
@@ -291,22 +295,70 @@ def _no_positives(label: str) -> str:
 
 
 class NaiveBayesClassifier(TrainedClassifier):
+    """Multinomial Naive Bayes stored by its cells.  A (category, feature)
+    cell without a positive count has the delta (0.0 - den_pos[c]) -
+    (log_totals[f] - den_neg[c]), 0.0 where the mask is off, so only the
+    valid cells with a count keep a delta of their own: O(nnz + C + F)
+    floats rather than C x F."""
+
     kind = NAIVE_BAYES
 
-    def __init__(self, category_labels, num_features, log_odds, deltas,
-                 fixed, masks=None, warnings=()):
+    def __init__(self, category_labels, num_features, log_odds, fixed,
+                 den_pos, den_neg, log_totals, cells, cell_deltas,
+                 masks=None, warnings=()):
         super().__init__(category_labels, [0.0] * len(category_labels),
                          num_features, masks=masks, warnings=warnings)
         self.log_odds = log_odds  # per category prior log-odds
-        self.deltas = deltas      # C x F log-likelihood ratio per occurrence
         self.fixed = fixed        # per category None, or the constant score
+        self.den_pos = den_pos    # per category log normalizers
+        self.den_neg = den_neg
+        self.log_totals = log_totals    # per feature math.log(total + 1.0)
+        self.cells = cells              # (categories, features) of the
+                                        # valid cells with counts, sorted
+        self.cell_deltas = cell_deltas  # each such cell's delta
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """The C x F log-likelihood ratios per occurrence, built when read."""
+        return np.ascontiguousarray(
+            self._deltas(np.ones(self.num_features, dtype=bool))[0])
+
+    def _deltas(self, present) -> tuple:
+        """(deltas, column) of the features where `present` holds: their C
+        x U deltas in ascending feature id, and each feature's column among
+        them.  Every cell takes its category's and its feature's term, by
+        the operations a cell with a count takes, in the same order; then
+        the cells with counts are written over them (those of the other
+        features into one more column, cut off) and the masked ones set to
+        0.0."""
+        features = np.flatnonzero(present)
+        n_cols = len(features)
+        column = np.full(self.num_features, n_cols, dtype=np.int32)
+        column[features] = np.arange(n_cols)
+        deltas = np.empty((len(self.den_pos), n_cols + 1))
+        block = deltas[:, :n_cols]  # (0.0 - den_pos) - (log_totals - den_neg)
+        block[:] = self.log_totals[features]
+        block -= self.den_neg[:, None]
+        np.subtract((0.0 - self.den_pos)[:, None], block, out=block)
+        cats, feats = self.cells
+        at = cats * (n_cols + 1)
+        at += column[feats]
+        deltas.ravel()[at] = self.cell_deltas
+        valid = self.masks[:, features]
+        if not valid.all():
+            block[~valid] = 0.0
+        return block, column
 
     def _kernel(self, n, rows, ids, counts, weights):
+        present = np.zeros(self.num_features, dtype=bool)
+        present[ids] = True
+        deltas, column = self._deltas(present)
+        columns = column[ids]
         # each row's sum starts from the prior log-odds
         return np.stack([
             np.full(n, fixed) if fixed is not None
-            else row_sums(rows, counts * delta[ids], n, start=prior)
-            for prior, delta, fixed in zip(self.log_odds, self.deltas,
+            else row_sums(rows, counts * delta[columns], n, start=prior)
+            for prior, delta, fixed in zip(self.log_odds, deltas,
                                            self.fixed)], axis=1)
 
 
@@ -335,34 +387,112 @@ def _log_counts(counts: np.ndarray, table=None) -> np.ndarray:
     return out
 
 
-def _nb_counts(view, nz, n_feats: int) -> tuple:
+def _label_pairs(labels, rows) -> tuple:
+    """(position in `rows`, category) of every label of the documents
+    `rows`, row after row, ascending category within a row: np.nonzero of
+    labels[rows] without that len(rows) x C matrix."""
+    docs, cats = np.nonzero(labels)
+    n_labels = np.bincount(docs, minlength=len(labels))
+    per_row = n_labels[rows]
+    at = np.repeat(np.arange(len(rows)), per_row)
+    # a pair's label: its document's first one plus the pair's rank among
+    # its row's pairs
+    label = (np.cumsum(n_labels) - n_labels)[rows]
+    label -= np.cumsum(per_row)
+    label += per_row
+    label = label[at]
+    label += np.arange(len(label))
+    return at, cats[label]
+
+
+def _sums(keys, weights, n: int) -> np.ndarray:
+    """float64 sums of the integer `weights` per key below n, each added in
+    input order onto 0.0 (a bincount of no values is int64, weights or
+    not)."""
+    return np.bincount(keys, weights=weights, minlength=n).astype(
+        float, copy=False)
+
+
+def _nb_cells(view, nz, masks) -> tuple:
     """The class counts of the nonzeros `nz` (a slice, bool mask or
-    positions, in CSR order) of an index's view: the C x F counts in each
-    category's positive documents and the F counts in all of them, float64
-    sums of the integer counts."""
-    rows, features, counts = view.rows[nz], view.features[nz], view.counts[nz]
-    # one pass over the (nonzero, label) pairs for every category
-    at, cats = np.nonzero(view.labels[rows])
+    positions, in CSR order) of an index's view, by cell: (cells, counts,
+    totals, pair cells, pair nonzeros).  `cells` are the categories and
+    features of the distinct (category, feature) cells that `masks` holds
+    valid and a (nonzero, label) pair falls in, sorted, and `counts` their
+    sums of the integer counts; `totals` are the F counts in all
+    documents.  Each pair's cell and its nonzero's position in `nz` follow
+    in CSR order, a nonzero's labels in ascending category."""
+    n_feats = masks.shape[1]
+    features, counts = view.features[nz], view.counts[nz]
+    at, keys = _label_pairs(view.labels, view.rows[nz])
+    keys *= n_feats
+    keys += features[at]
+    valid = masks.ravel()[keys]
+    if not valid.all():
+        at, keys = at[valid], keys[valid]
+    # the distinct keys, then each pair's cell written over its key
+    # (np.unique would hold more copies of the pairs at once)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    cells = ordered[first]
+    del ordered
+    pair_cells = keys
+    pair_cells[order] = np.cumsum(first) - 1
+    return (np.divmod(cells, n_feats), _sums(pair_cells, counts[at],
+                                             len(cells)),
+            _sums(features, counts, n_feats), pair_cells, at)
+
+
+def _nb_counts(view, nz, n_feats: int) -> tuple:
+    """The class counts of _nb_cells with every cell valid, as dense
+    arrays: the C x F counts in each category's positive documents and the
+    F counts in all of them."""
     n_cats = view.labels.shape[1]
-    pos = np.bincount(cats * n_feats + features[at], weights=counts[at],
-                      minlength=n_cats * n_feats).reshape(n_cats, n_feats)
-    totals = np.bincount(features, weights=counts, minlength=n_feats)
-    # a bincount of no values is int64, weights or not
-    return pos.astype(float, copy=False), totals.astype(float, copy=False)
+    cells, counts, totals, _, _ = _nb_cells(
+        view, nz, np.ones((n_cats, n_feats), dtype=bool))
+    pos = np.zeros((n_cats, n_feats))
+    pos[cells] = counts
+    return pos, totals
 
 
-def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int,
-                       log_table=None):
-    """The classifier of the class counts `pos` and `totals` (see
-    _nb_counts) of n_docs training documents, n_pos[c] of them in
-    category c; `log_table` is _log_counts' table.  `pos` is masked in
-    place, so the caller hands it over."""
+#: below this total, every sum of counts is a float64 integer that any
+#: order of adding gives exactly
+_EXACT_COUNT_TOTAL = 2.0 ** 53
+
+
+def _naive_bayes_model(labels, masks, groups, cells, pos, totals, n_pos,
+                       n_docs: int, log_table=None):
+    """The classifier of the counts `pos` of the cells `cells` and the
+    feature totals `totals` (see _nb_cells) of n_docs training documents,
+    n_pos[c] of them in category c.  `groups` are _mask_groups(masks) and
+    `log_table` is _log_counts' table.  Every delta, normalizer and score
+    has the bits of the dense C x F model: each cell's value takes the same
+    operations in the same order, and a category's class totals are the
+    sums of its rows of C x F counts, summed as such rows when some sum
+    may round (from a total of 2^53 on)."""
     n_cats, n_feats = masks.shape
-    neg = totals - pos
-    neg *= masks
-    pos *= masks
-    vocab = masks.sum(axis=1)
-    pos_totals, neg_totals = pos.sum(axis=1), neg.sum(axis=1)
+    cats, feats = cells
+    vocab = np.empty(n_cats, dtype=np.intp)
+    valid_totals = np.empty(n_cats)
+    for group in groups:
+        valid = masks[group[0]]
+        vocab[group] = np.count_nonzero(valid)
+        valid_totals[group] = totals[valid].sum()
+    if totals.sum() < _EXACT_COUNT_TOTAL:  # every sum is exact, in any order
+        pos_totals = _sums(cats, pos, n_cats)
+        neg_totals = valid_totals - pos_totals
+    else:  # a row sum rounds by the row's length and order, zeros and all
+        pos_totals, neg_totals = np.empty(n_cats), np.empty(n_cats)
+        starts = np.searchsorted(cats, np.arange(n_cats + 1))
+        for c in range(n_cats):
+            row = np.zeros(n_feats)
+            row[feats[starts[c]:starts[c + 1]]] = pos[starts[c]:starts[c + 1]]
+            pos_totals[c] = row.sum()
+            row = totals - row
+            row *= masks[c]
+            neg_totals[c] = row.sum()
     log_odds = np.zeros(n_cats)
     den_pos = np.zeros(n_cats)
     den_neg = np.zeros(n_cats)
@@ -384,62 +514,76 @@ def _naive_bayes_model(labels, masks, pos, totals, n_pos, n_docs: int,
         if vocab[c]:  # without features there is no delta to normalize
             den_pos[c] = math.log(int(pos_totals[c]) + int(vocab[c]))
             den_neg[c] = math.log(int(neg_totals[c]) + int(vocab[c]))
-    # (log pos - den_pos) - (log neg - den_neg), each step in place
+    # (log pos - den_pos) - (log neg - den_neg) of each cell with a count;
+    # one lookup gives the negative counts' logs and every feature's
+    logs = _log_counts(np.concatenate((totals[feats] - pos, totals)),
+                       log_table)
+    neg, log_totals = logs[:len(pos)], logs[len(pos):]
     deltas = _log_counts(pos, log_table)
-    deltas -= den_pos[:, None]
-    neg = _log_counts(neg, log_table)
-    neg -= den_neg[:, None]
+    deltas -= den_pos[cats]
+    neg -= den_neg[cats]
     deltas -= neg
-    deltas[~masks] = 0.0
-    return NaiveBayesClassifier(labels, n_feats, log_odds, deltas, fixed,
+    return NaiveBayesClassifier(labels, n_feats, log_odds, fixed, den_pos,
+                                den_neg, log_totals, cells, deltas,
                                 masks=masks, warnings=warnings)
 
 
 def _train_naive_bayes(learner, view, masks, labels):
-    return _naive_bayes_model(
-        labels, masks, *_nb_counts(view, slice(None), masks.shape[1]),
-        view.labels.sum(axis=0), view.labels.shape[0])
-
-
-#: below this total, every sum of a feature's counts is a float64 integer
-#: that any order of adding gives exactly
-_EXACT_COUNT_TOTAL = 2.0 ** 53
+    cells, pos, totals, _, _ = _nb_cells(view, slice(None), masks)
+    return _naive_bayes_model(labels, masks, _mask_groups(masks), cells, pos,
+                              totals, view.labels.sum(axis=0),
+                              view.labels.shape[0])
 
 
 def _naive_bayes_folds(learner, index: Index, folds):
     """NB's fold classifiers (see fold_classifiers) without a copy of the
-    index: a fold's complement has the whole index's class counts less the
-    fold's, which is exact while every feature's total count is below
-    2^53.  At or above it, the complement's counts are counted directly,
-    as train counts them, in the same order.  No fold count exceeds the
-    whole index's largest feature total, so one table of math.log(n + 1.0)
-    at every n up to it (at most C x F long) serves every fold."""
+    index or a C x F array: a fold's complement has the whole index's cell
+    counts less the fold's, through each (nonzero, label) pair's cell
+    found once per pass, and the feature totals less the fold's, which is
+    exact while the index's total count is below 2^53.  At or above it,
+    the complement's counts are counted directly, as train counts them, in
+    the same order.  A fold model costs O(nnz + C + F) and scores its fold
+    from the deltas of the fold's features alone.  No fold count exceeds
+    the whole index's largest feature total, so one table of
+    math.log(n + 1.0) at every n up to it (at most as long as the cells
+    and features together) serves every fold."""
     view = index.arrays()
     n_docs, n_feats = index.num_documents, index.num_features
-    counts = None
+    cells = None
     for fold, test_ids in folds:
-        if counts is None:  # set up once `folds` has checked the plan
+        if cells is None:  # set up once `folds` has checked the plan
             _check_training_index(index)
             labels, masks = index.categories.names, _feature_masks(index)
-            counts = _nb_counts(view, slice(None), n_feats)
-            exact = not n_feats or counts[1].max() < _EXACT_COUNT_TOTAL
+            groups = _mask_groups(masks)
+            cells, whole_pos, whole_totals, pair_cells, pair_at = _nb_cells(
+                view, slice(None), masks)
+            exact = whole_totals.sum() < _EXACT_COUNT_TOTAL
+            # each document's pairs, which follow in CSR order
+            pair_indptr = np.zeros(n_docs + 1, dtype=np.intp)
+            np.cumsum(np.bincount(view.rows[pair_at], minlength=n_docs),
+                      out=pair_indptr[1:])
+            pair_counts = view.counts[pair_at]
             n_pos = view.labels.sum(axis=0)
             log_table = np.array([math.log(n + 1.0) for n in range(min(
-                int(counts[1].max(initial=0.0)) + 1, max(1, masks.size)))])
+                int(whole_totals.max(initial=0.0)) + 1,
+                max(1, len(whole_pos) + n_feats)))])
         if exact:
-            fold_pos, fold_totals = _nb_counts(
-                view, _doc_nonzeros(view.indptr, test_ids)[0], n_feats)
-            pos, totals = counts[0] - fold_pos, counts[1] - fold_totals
-            del fold_pos, fold_totals
+            nz = _doc_nonzeros(view.indptr, test_ids)[0]
+            pairs = _doc_nonzeros(pair_indptr, test_ids)[0]
+            fold_cells = cells
+            pos = whole_pos - _sums(pair_cells[pairs], pair_counts[pairs],
+                                    len(whole_pos))
+            totals = whole_totals - _sums(view.features[nz], view.counts[nz],
+                                          n_feats)
         else:
             kept = np.ones(n_docs, dtype=bool)
             kept[test_ids] = False
-            pos, totals = _nb_counts(view, kept[view.rows], n_feats)
+            fold_cells, pos, totals, _, _ = _nb_cells(view, kept[view.rows],
+                                                      masks)
         yield fold, test_ids, _naive_bayes_model(
-            labels, masks, pos, totals,
+            labels, masks, groups, fold_cells, pos, totals,
             n_pos - view.labels[test_ids].sum(axis=0),
             n_docs - len(test_ids), log_table)
-        del pos, totals  # before the next fold's counts
 
 
 # -- Rocchio ---------------------------------------------------------------------
@@ -826,8 +970,9 @@ def fold_classifiers(learner, index: Index, folds, trainer):
     `folds`, in order: the classifier trained on the index's other
     documents, equal to train(learner, subset_index(index, keep_docs=those
     documents)).  Naive Bayes takes each fold's model from the whole
-    index's class counts; any other learner calls trainer(learner, index,
-    the other documents' ids), that is train or a stand-in for it."""
+    index's cell counts less the fold's, in O(nnz + C + F) with no C x F
+    float array; any other learner calls trainer(learner, index, the other
+    documents' ids), that is train or a stand-in for it."""
     if getattr(learner, "kind", None) == NAIVE_BAYES:
         return _naive_bayes_folds(learner, index, folds)
     return ((fold, test_ids, trainer(learner, index, np.delete(

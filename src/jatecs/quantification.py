@@ -73,21 +73,35 @@ def _rate_curve(scores, labels):
     Forman 2008).  Scores that compare equal, such as -0.0 and 0.0, share one
     point whose threshold is their first occurrence in `scores`.
     """
-    if len(scores) == 0:
-        return ()
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    ordered = scores[order]
-    tp = np.cumsum(labels[order])
-    fp = np.arange(1, len(ordered) + 1) - tp
-    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    last = np.r_[first[1:] - 1, len(ordered) - 1]
-    n_pos = int(tp[-1])
-    n_neg = len(ordered) - n_pos
-    tpr = tp[last] / n_pos if n_pos else np.zeros(len(first))
-    fpr = fp[last] / n_neg if n_neg else np.zeros(len(first))
-    return tuple(zip(ordered[first].tolist(), tpr.tolist(), fpr.tolist()))
+    return _rate_curves(np.asarray(scores, dtype=np.float64).reshape(-1, 1),
+                        np.asarray(labels, dtype=bool).reshape(-1, 1))[0]
+
+
+def _rate_curves(scores, labels) -> list:
+    """_rate_curve of every column of the D x C `scores` and `labels`, from
+    one stable sort of each column by descending score."""
+    n_docs, n_cats = scores.shape
+    if not n_docs:
+        return [()] * n_cats
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ordered = np.take_along_axis(scores, order, axis=0).T
+    tp = np.cumsum(np.take_along_axis(labels, order, axis=0), axis=0).T
+    fp = np.arange(1, n_docs + 1) - tp
+    # a point per run of equal scores: its first score, the rates at its end
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    last = np.ones(ordered.shape, dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    n_pos = tp[:, -1:]
+    tpr = np.zeros(tp.shape)
+    np.divide(tp, n_pos, out=tpr, where=n_pos != 0)
+    fpr = np.zeros(fp.shape)
+    np.divide(fp, n_docs - n_pos, out=fpr, where=n_pos != n_docs)
+    thresholds, tpr, fpr = ordered[first], tpr[last], fpr[last]
+    ends = np.cumsum(np.count_nonzero(first, axis=1)).tolist()
+    return [tuple(zip(thresholds[start:end].tolist(), tpr[start:end].tolist(),
+                      fpr[start:end].tolist()))
+            for start, end in zip([0] + ends[:-1], ends)]
 
 
 @dataclass(frozen=True)
@@ -155,18 +169,16 @@ def learn_quantifiers(learner, train_index: Index, folds: int = DEFAULT_FOLDS,
     classifier = train(learner, train_index)
     warnings.extend(classifier.warnings)
 
-    rates = {}
-    for c, labels in enumerate(train_index.arrays().labels.T.tolist()):
-        scores = oof_scores[:, c].tolist()
-        scaled = scale_scores(scaling, oof_scores[:, c]).tolist()
-        decided = oof_decisions[:, c].tolist()
-        rates[c] = RatesEstimate(
-            tpr=_mean_where(decided, labels, True),
-            fpr=_mean_where(decided, labels, False),
-            tpr_p=_mean_where(scaled, labels, True),
-            fpr_p=_mean_where(scaled, labels, False),
-            curve=_rate_curve(scores, labels),
-            curve_scaled=_rate_curve(scaled, labels))
+    labels = train_index.arrays().labels
+    scaled = scale_scores(scaling, oof_scores.ravel()).reshape(
+        oof_scores.shape)
+    means = zip(*_class_means(oof_decisions, labels),
+                *_class_means(scaled, labels))
+    rates = {c: RatesEstimate(tpr=tpr, fpr=fpr, tpr_p=tpr_p, fpr_p=fpr_p,
+                              curve=curve, curve_scaled=curve_scaled)
+             for c, ((tpr, fpr, tpr_p, fpr_p), curve, curve_scaled)
+             in enumerate(zip(means, _rate_curves(oof_scores, labels),
+                              _rate_curves(scaled, labels)))}
     return QuantifierPool(classifier=classifier, scaling=scaling, rates=rates,
                           category_labels=train_index.categories.names,
                           warnings=tuple(warnings))
@@ -177,6 +189,22 @@ def _mean_where(values, labels, label: bool) -> float:
     when there are none."""
     picked = [v for v, y in zip(values, labels) if y == label]
     return seq_sum(picked) / len(picked) if picked else 0.0
+
+
+def _class_means(values, labels) -> tuple:
+    """Per column of the D x C `values`, _mean_where over the documents
+    whose label is True and over those whose label is False, as lists: the
+    values of a column added left to right onto 0.0, in a bincount."""
+    means = []
+    for label in (labels.T, ~labels.T):
+        cats, docs = np.nonzero(label)
+        sizes = np.count_nonzero(label, axis=1)
+        sums = np.bincount(cats, weights=values.T[cats, docs],
+                           minlength=len(sizes))
+        mean = np.zeros(len(sizes))
+        np.divide(sums, sizes, out=mean, where=sizes != 0)
+        means.append(mean.tolist())
+    return tuple(means)
 
 
 def _clip(p: float) -> float:
@@ -190,12 +218,13 @@ def _corrected(observed: float, tpr: float, fpr: float) -> float:
 
 
 def _best_threshold(curve) -> tuple:
-    """Curve point maximizing tpr - fpr; ties keep the highest threshold."""
-    best = None
-    for thr, tpr, fpr in curve:
-        if best is None or tpr - fpr > best[1] - best[2]:
-            best = (thr, tpr, fpr)
-    return best
+    """Curve point maximizing tpr - fpr, the first of equal ones, so ties
+    keep the highest threshold; None when the curve is empty.  The rates
+    are never NaN."""
+    if not curve:
+        return None
+    _, tpr, fpr = np.array(curve).T
+    return curve[int(np.argmax(tpr - fpr))]
 
 
 def _at_best_threshold(curve, values: np.ndarray, fallback: float) -> float:
