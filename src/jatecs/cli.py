@@ -2,8 +2,11 @@
 
 Each stage is a plain function over an in-memory Index (select_features,
 weight_index, train, a classifier's score_index and decisions, compare).
-A subcommand reads its index and model directories, runs one stage and
-writes its output, so every stage is independently runnable and testable.  `pipeline`
+The pipeline's stages are declared once, in canonical order, in one table
+(_STAGES): each row gives the stage function, the objects it reads, the
+object it makes and its output name.  A subcommand reads the stage's index
+and model directories, runs it and writes its output, so every stage is
+independently runnable and testable.  `pipeline` runs the table's rows,
 hands each stage's index, classifier and predictions to the next stage in
 memory and writes each stage's output once, byte-identical to what the
 subcommand writes.  Exit codes: 0 success, 1 usage/config error, 2
@@ -33,7 +36,7 @@ from .corpus import (READERS, documents_to_index, numbered_lines,
 from .errors import InternalError, JatecsError, ParseError, ValidationError
 from .evaluation import compare, label_map, measures, micro_macro
 from .experiments import grid_search, kfold_evaluate, make_folds
-from .index import deserialize_index, serialize_index
+from .index import _read_concepts, deserialize_index, serialize_index
 from .learners import (LEARNERS, load_classifier, make_learner,
                        save_classifier, train)
 from .projection import build_projection, project, save_projection
@@ -231,10 +234,6 @@ _REQUIRED = {
     "pipeline": ("input", "categories", "out"),
 }
 
-_STAGE_ORDER = ("index", "tsr", "weight", "train", "classify", "eval",
-                "quantify")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="jatecs", description=__doc__, allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="command")
@@ -392,8 +391,9 @@ def weight_index(index, scheme: str, k1: float, b: float):
 
 
 # Each _*_stage runs a stage on objects in memory, writes its output to
-# opts["out"] and reports it; a cmd_* reads its inputs and calls one of them,
-# and cmd_pipeline chains them without reading back what they wrote.
+# opts["out"] and reports it.  A subcommand reads the stage's inputs from
+# its option directories (_subcommand); cmd_pipeline runs the rows of
+# _STAGES, handing each stage the objects earlier stages made.
 
 
 def _tsr_stage(opts, index):
@@ -430,9 +430,12 @@ def _classify_stage(opts, classifier, index) -> dict:
     predictions = label_map(classifier.decisions(scores))
     _write_tsv(opts["out"], ((d, c) for d, cs in predictions.items()
                              for c in cs))
-    _write_text(_scores_path(opts["out"]), "".join(
+    _write_text(_side_path(opts["out"], "scores"), "".join(
         f"{d}\t{c}\t{score!r}\n" for d, row in enumerate(scores.tolist())
         for c, score in enumerate(row)))
+    # the ids above mean something only with this table; eval checks it
+    _write_tsv(_side_path(opts["out"], "categories"),
+               enumerate(classifier.category_labels))
     print(f"classified D={index.num_documents} -> {opts['out']}")
     return predictions
 
@@ -469,6 +472,23 @@ def _quantify_stage(opts, train_index, test_index) -> None:
         print(f"{name}: mean AE = {report.means[name]['AE']:.4f}")
 
 
+# The pipeline's stages in canonical order: (name, stage, objects it reads,
+# object it makes, output name under pipeline --out).  An object is the
+# current `index`, the `model`, the `predictions` or `test`: --test-input's
+# index, built on first use, else the current one.  The index stage has no
+# function: cmd_pipeline reads the corpus itself.
+_STAGES = (
+    ("index", None, (), "index", "index"),
+    ("tsr", _tsr_stage, ("index",), "index", "tsr"),
+    ("weight", _weight_stage, ("index",), "index", "weight"),
+    ("train", _train_stage, ("index",), "model", "model"),
+    ("classify", _classify_stage, ("model", "test"), "predictions",
+     "predictions.tsv"),
+    ("eval", _eval_stage, ("predictions", "test"), None, "eval.tsv"),
+    ("quantify", _quantify_stage, ("index", "test"), None, "quantify.tsv"),
+)
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -481,16 +501,17 @@ def cmd_index(opts) -> int:
     return EXIT_OK
 
 
-def _on_index(stage):
-    """The subcommand that runs `stage` on the index read from --index."""
+def _subcommand(stage, *options):
+    """The subcommand that runs `stage` on what its `options` name, read in
+    order: the classifier of --model, the index directory of any other."""
     def command(opts) -> int:
-        stage(opts, deserialize_index(opts["index"]))
+        stage(opts, *(load_classifier(opts[name]) if name == "model"
+                      else deserialize_index(opts[name]) for name in options))
         return EXIT_OK
     return command
 
 
-def cmd_project(opts) -> int:
-    index = deserialize_index(opts["index"])
+def _project_stage(opts, index) -> None:
     dim = opts["dim"]
     nonzeros = opts["nonzeros"] or max(1, round(dim * 0.01))
     model = build_projection(index, _KIND_NAMES[opts["kind"]], dim,
@@ -499,23 +520,25 @@ def cmd_project(opts) -> int:
     save_projection(model, matrix, opts["out"])
     print(f"projected D={index.num_documents} into dim={dim} "
           f"({opts['kind']}) -> {opts['out']}")
-    return EXIT_OK
 
 
-def _scores_path(out_path: str) -> str:
+def _side_path(out_path: str, name: str) -> str:
+    """The file `name` written next to the output file `out_path`."""
     root, ext = os.path.splitext(out_path)
-    return f"{root}-scores{ext or '.tsv'}"
-
-
-def cmd_classify(opts) -> int:
-    classifier = load_classifier(opts["model"])
-    _classify_stage(opts, classifier, deserialize_index(opts["index"]))
-    return EXIT_OK
+    return f"{root}-{name}{ext or '.tsv'}"
 
 
 def _read_predictions(path, gold_index) -> dict:
     """The dID -> [cID] map of a predictions file; an id outside the gold
-    index is a ParseError on its line."""
+    index is a ParseError on its line.  The category table classify wrote
+    next to it, if any, must be the gold index's."""
+    categories = _side_path(path, "categories")
+    if os.path.exists(categories):
+        table = _read_concepts(*os.path.split(categories), "category",
+                               gold_index.num_categories)
+        if table.names != gold_index.categories.names:
+            raise ValidationError(f"{categories}: the predictions' category "
+                                  "table differs from the gold index's")
     predictions: dict = {}
     for line_no, line in numbered_lines(path, newline=None):
         if not line:
@@ -566,14 +589,7 @@ def cmd_eval(opts) -> int:
     return EXIT_OK
 
 
-def cmd_quantify(opts) -> int:
-    train_index = deserialize_index(opts["train"])
-    _quantify_stage(opts, train_index, deserialize_index(opts["test"]))
-    return EXIT_OK
-
-
-def cmd_kfold(opts) -> int:
-    index = deserialize_index(opts["index"])
+def _kfold_stage(opts, index) -> None:
     plan = make_folds(index, opts["k"], mode=opts["mode"], seed=opts["seed"])
     table_set = kfold_evaluate(_learner_from(opts), index, plan,
                                threads=_threads(opts))
@@ -581,11 +597,9 @@ def cmd_kfold(opts) -> int:
     summary = micro_macro(table_set)
     print(f"{opts['k']}-fold {opts['mode']}: microF1 = "
           f"{summary['microF1']:.4f} macroF1 = {summary['macroF1']:.4f}")
-    return EXIT_OK
 
 
-def cmd_grid(opts) -> int:
-    index = deserialize_index(opts["index"])
+def _grid_stage(opts, index) -> None:
     grid = {}
     for name, value in _parse_params(opts.get("param")).items():
         grid[name] = [v for v in value.split(",") if v]
@@ -602,7 +616,6 @@ def cmd_grid(opts) -> int:
     _write_tsv(opts["out"], rows)
     best_spec = ",".join(f"{k}={v}" for k, v in best.items())
     print(f"best: {best_spec} ({opts['objective']})")
-    return EXIT_OK
 
 
 def cmd_pipeline(opts) -> int:
@@ -612,65 +625,55 @@ def cmd_pipeline(opts) -> int:
     stages = [s.strip() for s in opts["stages"].split(",") if s.strip()]
     if not stages:
         raise CliError("empty stage list")
+    order = [row[0] for row in _STAGES]
     for stage in stages:
-        if stage not in _STAGE_ORDER:
+        if stage not in order:
             raise CliError(f"unknown stage {stage!r}")
-    positions = [_STAGE_ORDER.index(s) for s in stages]
-    if positions != sorted(positions) or len(set(stages)) != len(stages):
+    positions = [order.index(s) for s in stages]
+    if positions != sorted(set(positions)):  # in order, none repeated
         raise CliError(f"stages out of order: {','.join(stages)} "
-                       f"(canonical order: {','.join(_STAGE_ORDER)})")
-    if stages[0] != "index":
-        raise CliError("the pipeline must start with the 'index' stage")
-    if "classify" in stages and "train" not in stages:
-        raise CliError("'classify' requires the 'train' stage")
-    if "eval" in stages and "classify" not in stages:
-        raise CliError("'eval' requires the 'classify' stage")
-
+                       f"(canonical order: {','.join(order)})")
+    rows = [_STAGES[at] for at in positions]
+    have = set()
+    for name, _, reads, makes, _ in rows:
+        for need in reads:
+            # `test` is the index, or --test-input's, built once it exists
+            need = "index" if need == "test" else need
+            if need not in have:
+                maker = next(row[0] for row in _STAGES if row[3] == need)
+                raise CliError(f"'{name}' requires the '{maker}' stage")
+        have.add(makes)
     root = opts["out"]
     os.makedirs(root, exist_ok=True)
-    index = classifier = predictions = test_index = None
+    test_input = opts.get("test_input")
+    made = {}
     extractor = _extractor_config(opts)  # one stem memo for both corpora
 
-    def eval_index():
-        """--test-input's index when given, else the pipeline's own one
-        (smoke-test mode).  The test index is built once per run and
-        written to test-index/."""
-        nonlocal test_index
-        if opts.get("test_input") is None:
-            return index
-        if test_index is None:
-            test_index = _index_corpus(opts, opts["test_input"], extractor)
-            serialize_index(test_index, os.path.join(root, "test-index"))
-        return test_index
+    def fetch(name):
+        """An object a stage reads; --test-input's index is built once and
+        written to test-index/ (without it, `test` is the current index)."""
+        if name == "test":
+            if test_input is None:
+                return made["index"]
+            if "test" not in made:
+                made["test"] = _index_corpus(opts, test_input, extractor)
+                serialize_index(made["test"], os.path.join(root, "test-index"))
+        return made[name]
 
-    for stage in stages:
-        out = os.path.join(root, stage)
+    for name, stage, reads, makes, out_name in rows:
+        out = os.path.join(root, out_name)
         try:
-            if stage == "index":
-                index = _index_corpus(opts, opts["input"], extractor)
-                if opts.get("test_input") is None:
+            if stage is None:  # the index stage, which reports nothing
+                made["index"] = _index_corpus(opts, opts["input"], extractor)
+                if test_input is None:
                     extractor = None  # frees the stem memo: no other corpus
-                serialize_index(index, out)
-            elif stage == "tsr":
-                index = _tsr_stage(dict(opts, out=out), index)
-            elif stage == "weight":
-                index = _weight_stage(dict(opts, out=out), index)
-            elif stage == "train":
-                classifier = _train_stage(
-                    dict(opts, out=os.path.join(root, "model")), index)
-            elif stage == "classify":
-                predictions = _classify_stage(
-                    dict(opts, out=os.path.join(root, "predictions.tsv")),
-                    classifier, eval_index())
-            elif stage == "eval":
-                _eval_stage(dict(opts, out=os.path.join(root, "eval.tsv")),
-                            predictions, eval_index())
-            elif stage == "quantify":
-                _quantify_stage(
-                    dict(opts, out=os.path.join(root, "quantify.tsv")),
-                    index, eval_index())
+                serialize_index(made["index"], out)
+            else:
+                result = stage(dict(opts, out=out), *map(fetch, reads))
+                if makes is not None:
+                    made[makes] = result
         except (CliError, JatecsError) as exc:
-            message = f"stage '{stage}' failed: {exc}"
+            message = f"stage '{name}' failed: {exc}"
             if isinstance(exc, CliError):
                 raise CliError(message) from exc
             if isinstance(exc, InternalError):
@@ -682,15 +685,15 @@ def cmd_pipeline(opts) -> int:
 
 _HANDLERS = {
     "index": cmd_index,
-    "tsr": _on_index(_tsr_stage),
-    "project": cmd_project,
-    "weight": _on_index(_weight_stage),
-    "train": _on_index(_train_stage),
-    "classify": cmd_classify,
+    "tsr": _subcommand(_tsr_stage, "index"),
+    "project": _subcommand(_project_stage, "index"),
+    "weight": _subcommand(_weight_stage, "index"),
+    "train": _subcommand(_train_stage, "index"),
+    "classify": _subcommand(_classify_stage, "model", "index"),
     "eval": cmd_eval,
-    "quantify": cmd_quantify,
-    "kfold": cmd_kfold,
-    "grid": cmd_grid,
+    "quantify": _subcommand(_quantify_stage, "train", "test"),
+    "kfold": _subcommand(_kfold_stage, "index"),
+    "grid": _subcommand(_grid_stage, "index"),
     "pipeline": cmd_pipeline,
 }
 

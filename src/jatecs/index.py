@@ -158,12 +158,18 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _offsets(keys, n: int) -> np.ndarray:
+    """The n + 1 int64 offsets of the groups of the keys below n: the
+    positions of key k are offsets[k]:offsets[k + 1] once they are sorted."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return offsets
+
+
 def _csr(n_docs, rows, features, counts, weights, labels) -> IndexArrays:
     """IndexArrays over nonzeros sorted by (document, feature)."""
-    indptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
     return IndexArrays(
-        indptr=_frozen(indptr),
+        indptr=_frozen(_offsets(rows, n_docs)),
         rows=_frozen(np.ascontiguousarray(rows, dtype=np.intp)),
         features=_frozen(np.ascontiguousarray(features, dtype=np.int32)),
         counts=_frozen(np.ascontiguousarray(counts, dtype=np.int64)),

@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .evaluation import label_map
-from .index import Index, _doc_nonzeros, document_arrays
+from .index import Index, _doc_nonzeros, _offsets, document_arrays
 from .sums import row_sums, seq_sum
 
 #: score emitted for categories that could not be trained (no positives)
@@ -282,9 +282,7 @@ def _feature_major(features, n_feats: int) -> tuple:
     """Feature-major postings of a CSR's nonzeros: (starts, order), where
     ``order[starts[f]:starts[f + 1]]`` are the nonzeros of feature f in
     ascending document id."""
-    starts = np.zeros(n_feats + 1, dtype=np.intp)
-    np.cumsum(np.bincount(features, minlength=n_feats), out=starts[1:])
-    return starts, np.argsort(features, kind="stable")
+    return _offsets(features, n_feats), np.argsort(features, kind="stable")
 
 
 def _no_positives(label: str) -> str:
@@ -392,16 +390,7 @@ def _label_pairs(labels, rows) -> tuple:
     `rows`, row after row, ascending category within a row: np.nonzero of
     labels[rows] without that len(rows) x C matrix."""
     docs, cats = np.nonzero(labels)
-    n_labels = np.bincount(docs, minlength=len(labels))
-    per_row = n_labels[rows]
-    at = np.repeat(np.arange(len(rows)), per_row)
-    # a pair's label: its document's first one plus the pair's rank among
-    # its row's pairs
-    label = (np.cumsum(n_labels) - n_labels)[rows]
-    label -= np.cumsum(per_row)
-    label += per_row
-    label = label[at]
-    label += np.arange(len(label))
+    label, at = _doc_nonzeros(_offsets(docs, len(labels)), rows)
     return at, cats[label]
 
 
@@ -485,7 +474,7 @@ def _naive_bayes_model(labels, masks, groups, cells, pos, totals, n_pos,
         neg_totals = valid_totals - pos_totals
     else:  # a row sum rounds by the row's length and order, zeros and all
         pos_totals, neg_totals = np.empty(n_cats), np.empty(n_cats)
-        starts = np.searchsorted(cats, np.arange(n_cats + 1))
+        starts = _offsets(cats, n_cats)
         for c in range(n_cats):
             row = np.zeros(n_feats)
             row[feats[starts[c]:starts[c + 1]]] = pos[starts[c]:starts[c + 1]]
@@ -559,9 +548,7 @@ def _naive_bayes_folds(learner, index: Index, folds):
                 view, slice(None), masks)
             exact = whole_totals.sum() < _EXACT_COUNT_TOTAL
             # each document's pairs, which follow in CSR order
-            pair_indptr = np.zeros(n_docs + 1, dtype=np.intp)
-            np.cumsum(np.bincount(view.rows[pair_at], minlength=n_docs),
-                      out=pair_indptr[1:])
+            pair_indptr = _offsets(view.rows[pair_at], n_docs)
             pair_counts = view.counts[pair_at]
             n_pos = view.labels.sum(axis=0)
             log_table = np.array([math.log(n + 1.0) for n in range(min(
@@ -682,22 +669,20 @@ class KnnClassifier(TrainedClassifier):
             for first, stop, lo, hi in blocks:
                 scores[first:stop, group] = self._block_votes(
                     postings, rows[lo:hi] - first, ids[lo:hi], w[lo:hi],
-                    lengths[lo:hi], norms * q_norms[first:stop, None],
+                    norms * q_norms[first:stop, None],
                     self.view.labels[:, group])
         return scores
 
-    def _block_votes(self, postings, rows, ids, w, lengths, denominators,
-                     labels):
+    def _block_votes(self, postings, rows, ids, w, denominators, labels):
         """Votes of a block of query rows: the dot products from one join of
         their nonzeros with the postings, ascending feature id within a row,
         then the top k by (-similarity, id)."""
         starts, docs, values = postings
         n_rows, n_train = denominators.shape
-        # where each joined posting sits in the postings arrays
-        at = (np.repeat(starts[ids] - (np.cumsum(lengths) - lengths), lengths)
-              + np.arange(int(lengths.sum())))
-        dots = np.bincount(np.repeat(rows * n_train, lengths) + docs[at],
-                           weights=values[at] * np.repeat(w, lengths),
+        # each query nonzero's postings: where they sit, whose they are
+        at, joined = _doc_nonzeros(starts, ids)
+        dots = np.bincount(rows[joined] * n_train + docs[at],
+                           weights=values[at] * w[joined],
                            minlength=n_rows * n_train).reshape(n_rows, n_train)
         sims = np.zeros(dots.shape)
         np.divide(dots, denominators, out=sims, where=denominators != 0.0)
@@ -735,7 +720,7 @@ KNN_BLOCK_CELLS = 1 << 22
 
 def _knn_blocks(rows, lengths, n: int, n_train: int) -> list:
     """(first row, stop row, first nonzero, stop nonzero) of each block."""
-    bounds = np.searchsorted(rows, np.arange(n + 1))
+    bounds = _offsets(rows, n)
     joined = np.concatenate(([0], np.cumsum(lengths)))[bounds]
     cap = max(1, KNN_BLOCK_CELLS // n_train)
     blocks = []

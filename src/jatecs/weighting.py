@@ -63,7 +63,7 @@ def tfidf_normalized(index: Index) -> Index:
                     for df in stats.df.values()])
     weights = view.counts * idf[view.features]
     norms = np.sqrt(row_sums(view.rows, weights * weights, stats.n, start=0.0))
-    scale = np.repeat(norms, np.diff(view.indptr))
+    scale = norms[view.rows]
     np.divide(weights, scale, out=weights, where=scale > 0.0)
     return index.with_weight_values(weights)
 
