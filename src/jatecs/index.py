@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import io
 import os
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, filterfalse, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -533,6 +533,71 @@ def build_index(docs, labels, categories) -> Index:
                               GLOBAL_DOMAIN)
 
 
+def _streamed_index(docs, labels, categories) -> Index | None:
+    """:func:`build_index` of `docs`, read once: each document's entries
+    become a feature id and a count as they are read, and are not kept.
+    None where build_index must decide (and raise): an entry that is not a
+    (str, positive int) pair, a text repeated within a document, or a bad
+    or repeated name.
+
+    Ids follow first occurrence, as build_index's do; the weights are the
+    counts.
+    """
+    vocabulary: dict = {}  # feature text -> id
+    names, lengths, feature_ids, counts = [], [], [], []
+    for name, entries in docs:
+        entries = list(entries)
+        if not (set(map(type, entries)) <= {tuple}
+                and set(map(len, entries)) <= {2}):
+            return None
+        texts = list(map(itemgetter(0), entries))
+        given = list(map(itemgetter(1), entries))
+        if not (set(map(type, texts)) <= {str}
+                and set(map(type, given)) <= {int}):
+            return None
+        # a text is new when the vocabulary, which the update grows as it
+        # reads, lacks it: a text repeated in the document takes one id
+        vocabulary.update(zip(filterfalse(vocabulary.__contains__, texts),
+                              count(len(vocabulary))))
+        feature_ids += map(vocabulary.__getitem__, texts)
+        counts += given
+        names.append(name)
+        lengths.append(len(texts))
+    features = list(vocabulary)
+    del vocabulary
+    if (not set(map(type, names)) <= {str}
+            or _first_bad_name("document", names) is not None
+            or _first_bad_name("feature", features) is not None):
+        return None
+    n_feats = len(features)
+    keys = np.repeat(np.arange(len(names), dtype=np.int64) * n_feats,
+                     np.array(lengths, dtype=np.int64))
+    keys += np.array(feature_ids, dtype=np.int64)
+    del feature_ids
+    try:
+        counts = np.array(counts, dtype=np.int64)
+    except OverflowError:  # 2**63 or more
+        return None
+    if (counts <= 0).any():
+        return None
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():  # a text repeated within a document
+        return None
+    counts = counts[order]
+    del order
+    rows, feature_col = np.divmod(keys, n_feats)
+    del keys
+    cat_db = ConceptDb(categories, kind="category")
+    doc_db = ConceptDb(names, kind="document", _checked=True)
+    arrays = _csr(len(names), rows, feature_col, counts,
+                  counts.astype(np.float64),
+                  _label_matrix(labels, doc_db, cat_db))
+    return Index._from_arrays(
+        cat_db, ConceptDb(features, kind="feature", _checked=True), doc_db,
+        arrays, _frozen(np.ones(len(counts), dtype=bool)), GLOBAL_DOMAIN)
+
+
 def _checked_entries(names, entries):
     """The tables, the feature texts and counts as given, and the float64
     counts (None from a total of 2**52 on, where sums may round) and weights
@@ -691,81 +756,92 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
 # deserialized copy of it) produces byte-identical files.  The numeric
 # relations are encoded from the index arrays in bulk, one %-format per
 # chunk of rows: "%d" writes an int as str() does and "%r" a float as
-# repr() does, so the bytes are those of one f-string per row.  A weighting
-# relation that is exactly the counts is the content text with ".0" before
-# each newline, since repr(float(n)) == f"{n}.0" for every integer
-# 0 < n <= 2**53.  Each file is decoded with one read and, for the numeric
-# relations, one numpy parse of all its rows; a concept file is one split
-# of its text.  Blank lines are skipped.  A malformed row (wrong field
-# count, non-numeric field, unknown id, duplicate key) is a ParseError
-# naming its line; the line is looked up only once a file has failed to
-# decode.
+# repr() does, so the bytes are those of one f-string per row.  A file is
+# written chunk by chunk as it is encoded.  A weighting relation that is
+# exactly the counts is written along with the content, each content chunk
+# with ".0" before each newline, since repr(float(n)) == f"{n}.0" for every
+# integer 0 < n <= 2**53.  Each file is decoded with one read and, for the
+# numeric relations, one numpy parse of all its rows; a concept file is one
+# split of its text.  Blank lines are skipped.  A malformed row (wrong
+# field count, non-numeric field, unknown id, duplicate key) is a
+# ParseError naming its line; the line is looked up only once a file has
+# failed to decode.
 
 FORMAT_VERSION = 1
 
 #: rows per %-format when encoding a relation; bounds the size of the
-#: format string and of the list and tuple of cells it formats
+#: format string, of the list and tuple of cells it formats and of a chunk
 _ENCODE_CHUNK_ROWS = 2**12
 
 
-def _format_rows(row_format: str, *columns) -> bytes:
-    """One `row_format` line per row of the equal-length `columns`."""
+def _format_rows(row_format: str, *columns):
+    """One `row_format` line per row of the equal-length `columns`, encoded
+    one chunk of rows at a time; no rows are one empty chunk."""
     width = len(columns)
     n = len(columns[0])
-    text = []
-    for start in range(0, n, _ENCODE_CHUNK_ROWS):
+    for start in range(0, max(n, 1), _ENCODE_CHUNK_ROWS):
         stop = min(start + _ENCODE_CHUNK_ROWS, n)
         cells = [None] * ((stop - start) * width)
         for j, column in enumerate(columns):
             cells[j::width] = column[start:stop].tolist()
-        text.append((row_format * (stop - start) % tuple(cells)).encode())
-    return b"".join(text)
+        yield (row_format * (stop - start) % tuple(cells)).encode()
 
 
-def _index_files(index: Index):
-    """(file name, bytes) of each file of the serialized form, one file
-    encoded at a time."""
-    def lines(pairs):
-        return "".join(f"{a}\t{b}\n" for a, b in pairs).encode("utf-8")
+def _index_chunks(index: Index):
+    """(file name, chunk) of each chunk of the serialized form, encoded as
+    it is read: a file's bytes are its chunks joined.  Files come one after
+    another, but a raw index's weights.tsv chunks alternate with the
+    content chunks they are made from."""
+    def lines(name, pairs):
+        return name, "".join(f"{a}\t{b}\n" for a, b in pairs).encode("utf-8")
 
-    yield "meta.tsv", lines((("format_version", FORMAT_VERSION),
+    yield lines("meta.tsv", (("format_version", FORMAT_VERSION),
                              ("documents", index.num_documents),
                              ("features", index.num_features),
                              ("categories", index.num_categories)))
-    yield "categories.tsv", lines(index.categories)
-    yield "features.tsv", lines(index.features)
-    yield "documents.tsv", lines(index.documents)
+    yield lines("categories.tsv", index.categories)
+    yield lines("features.tsv", index.features)
+    yield lines("documents.tsv", index.documents)
     a, weighted = index.arrays(), index._weighted
     content = _format_rows("%d\t%d\t%d\n", a.rows, a.features, a.counts)
-    yield "content.tsv", content
     if (weighted.all() and (not a.counts.size or a.counts.max() <= 2**53)
             and np.array_equal(a.weights, a.counts)):
-        yield "weights.tsv", content.replace(b"\n", b".0\n")
+        for chunk in content:
+            yield "content.tsv", chunk
+            yield "weights.tsv", chunk.replace(b"\n", b".0\n")
     else:
-        yield "weights.tsv", _format_rows(
-            "%d\t%d\t%r\n", a.rows[weighted], a.features[weighted],
-            a.weights[weighted])
-    del content
-    yield "classification.tsv", _format_rows("%d\t%d\n",
-                                             *np.nonzero(a.labels))
+        for chunk in content:
+            yield "content.tsv", chunk
+        for chunk in _format_rows("%d\t%d\t%r\n", a.rows[weighted],
+                                  a.features[weighted], a.weights[weighted]):
+            yield "weights.tsv", chunk
+    for chunk in _format_rows("%d\t%d\n", *np.nonzero(a.labels)):
+        yield "classification.tsv", chunk
     if index.domain.local:
-        yield "domain.tsv", lines(sorted(
+        yield lines("domain.tsv", sorted(
             (f, c) for c, fs in index.domain.valid.items() for f in fs))
 
 
 def index_file_map(index: Index) -> dict:
     """The serialized form as {filename: bytes}."""
-    return dict(_index_files(index))
+    files: dict = {}
+    for name, chunk in _index_chunks(index):
+        files.setdefault(name, []).append(chunk)
+    return {name: b"".join(chunks) for name, chunks in files.items()}
 
 
 def serialize_index(index: Index, directory) -> None:
-    """Write the index files, each as soon as it is encoded; a global index
-    also removes the domain.tsv an earlier local index left in
+    """Write the index files, each chunk as soon as it is encoded; a global
+    index also removes the domain.tsv an earlier local index left in
     `directory`."""
     os.makedirs(directory, exist_ok=True)
-    for name, data in _index_files(index):
-        with open(os.path.join(directory, name), "wb") as fh:
-            fh.write(data)
+    with ExitStack() as stack:
+        files: dict = {}
+        for name, chunk in _index_chunks(index):
+            if name not in files:
+                files[name] = stack.enter_context(
+                    open(os.path.join(directory, name), "wb"))
+            files[name].write(chunk)
     if not index.domain.local:
         with suppress(FileNotFoundError):
             os.remove(os.path.join(directory, "domain.tsv"))
@@ -893,7 +969,7 @@ def _walked_concepts(tsv: _TsvFile, name, kind, expected) -> list:
         if id_text != str(i):
             raise ParseError(tsv.path, line_no, f"expected id {i}")
     if len(rows) != expected:
-        raise ValidationError(f"{name}: expected {expected} entries")
+        raise ValidationError(f"{tsv.path}: expected {expected} entries")
     names = [row[2] for row in rows]
     bad = _first_bad_name(kind, names)
     if bad is not None:
