@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
-from .index import Index, _check_name, _streamed_index, build_index
+from .index import Index, _check_name, build_index
 
 # counts are stored as int64, so a value whose ceiling is a count must be
 # below this
@@ -462,29 +462,15 @@ def instances_to_documents(instances) -> list:
 
 
 def documents_to_index(documents, categories, extractor=None) -> Index:
-    """Run the extractor over each document and build the index.
-
-    A text corpus, whose documents carry no pre-extracted features, takes
-    one streaming pass that keeps no document's entries; build_index takes
-    any other corpus, and any entries the pass cannot take exactly, so it
-    raises every error.  Pre-extracted features (ARFF numerics, LibSVM
-    pairs) are appended after the extracted text features, in document
-    order.
-    """
+    """Build the index of `documents` with one build_index call, which
+    extracts each document as it reads it: a document's entries are the
+    extractor's features of its text, then its pre-extracted features
+    (ARFF numerics and nominals, LibSVM pairs), and are not kept."""
     documents = list(documents)
     labels = [(doc.name, list(doc.labels)) for doc in documents]
-    if extractor is not None and not any(doc.features for doc in documents):
-        index = _streamed_index(
-            ((doc.name, extractor.extract(doc.text)) for doc in documents),
-            labels, categories)
-        if index is not None:
-            return index
-    docs = []
-    for doc in documents:
-        feats = list(extractor.extract(doc.text)) if extractor is not None else []
-        feats.extend(doc.features)
-        docs.append((doc.name, feats))
-    return build_index(docs, labels, categories)
+    extract = extractor.extract if extractor is not None else lambda text: ()
+    return build_index(((doc.name, [*extract(doc.text), *doc.features])
+                        for doc in documents), labels, categories)
 
 
 # reader name -> function(path, categories=, separator=) returning documents

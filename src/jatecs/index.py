@@ -448,8 +448,9 @@ class Index:
 def build_index(docs, labels, categories) -> Index:
     """Build an index from raw per-document feature counts and labels.
 
-    docs: list of (docName, [(featureText, count)]) pairs; a third tuple
-          element may carry an explicit weight (defaults to the count).
+    docs: an iterable of (docName, [(featureText, count)]) pairs, read once;
+          a third tuple element may carry an explicit weight (defaults to
+          the count).
     labels: list of (docName, [categoryLabel]) pairs.
     categories: the category label universe, ids assigned in list order.
 
@@ -460,47 +461,79 @@ def build_index(docs, labels, categories) -> Index:
     weight is stored as 0.0).  The weighting relation starts out as raw
     frequencies so an unweighted index is still classifiable.
 
-    Every valid input takes one bulk build; where a bulk check fails,
-    :func:`_raise_first_bad_entry` raises the first bad entry's error.
+    Each document's name is checked and its entries become feature ids and
+    counts in flat lists, with a weight kept only for an entry that carries
+    one; the entries themselves are not kept.  A document whose entries
+    fail :func:`_bulk_document` is walked by :func:`_walked_document`, which
+    raises the first bad entry's error, as an entry-by-entry build would.
     """
     cat_db = ConceptDb(categories, kind="category")
     labels = list(labels)
-    names, ends, entries = [], [], []
-    for name, feats in docs:
+    vocabulary: dict = {}  # feature text -> id
+    names, lengths, feature_ids, given = [], [], [], []
+    explicit_at, explicit = [], []  # the entries that carry a weight
+    seen_docs = set()
+    in_bulk = True  # every document read in bulk
+    for name, entries in docs:
+        _check_name("document", name)
+        if name in seen_docs:
+            raise ValidationError(f"duplicate docName {name!r}")
+        seen_docs.add(name)
+        if type(entries) is not list:
+            entries = list(entries)
+        read = _bulk_document(entries)
+        if read is None:
+            read = _walked_document(name, entries)
+            in_bulk = False
+        del entries
+        texts, counts, weights = read
+        # a text is new when the vocabulary, which the update grows as it
+        # reads, lacks it: a text repeated in the document takes one id
+        vocabulary.update(zip(filterfalse(vocabulary.__contains__, texts),
+                              count(len(vocabulary))))
+        feature_ids += map(vocabulary.__getitem__, texts)
+        if weights:
+            explicit_at += (len(given) + i for i in weights)
+            explicit += weights.values()
+        given += counts
         names.append(name)
-        entries.extend(feats)
-        ends.append(len(entries))
-    doc_db, feat_db, texts, given, counts, weights = (
-        _checked_entries(names, entries)
-        or _walked_entries(names, ends, entries))
-    del entries  # the entries themselves stay alive in `docs`
+        lengths.append(len(texts))
+    del seen_docs
+    # names that are no str fail the tables; texts read in bulk are checked
+    doc_db = ConceptDb(names, kind="document")
+    feat_db = ConceptDb(vocabulary, kind="feature", _checked=in_bulk)
+    del vocabulary
     label_matrix = _label_matrix(labels, doc_db, cat_db)
     # one (document, feature) key per entry, sorted once; a group is the
     # entries of one key, in input order
     n_feats = len(feat_db)
-    keys = np.fromiter(map(feat_db._ids.__getitem__, texts), np.int64,
-                       len(texts))
-    del texts
+    keys = np.array(feature_ids, dtype=np.int64)
+    del feature_ids
     keys += np.repeat(np.arange(len(names), dtype=np.int64) * n_feats,
-                      np.diff(np.array(ends, dtype=np.int64), prepend=0))
+                      np.array(lengths, dtype=np.int64))
+    if in_bulk:
+        given = np.array(given, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    # the group and the input position of each entry of a repeated group
+    # the group and the input position of each entry of a repeated group;
+    # a group's number is its position less the later entries before it
     repeats = np.flatnonzero(~(first & np.append(first[1:], True)))
-    group = np.cumsum(first)[repeats] - 1
+    group = repeats - np.searchsorted(np.flatnonzero(~first), repeats,
+                                      side="right")
     repeats = order[repeats]
     at = order[first]  # the input position of each group's first entry
     del order
     keys = keys[first]
     del first
-    rows, features = np.divmod(keys, n_feats)
-    del keys
-    totals: dict = {}  # repeated groups: a float64 sum or sum() may round
+    totals: dict = {}  # repeated groups, added up in input order
     for g, i in zip(group.tolist(), repeats.tolist()):
         totals[g] = totals.get(g, 0) + given[i]
-    if counts is None:
+    if in_bulk:  # a document's counts add up to less than 2**63
+        counts = given[at]
+        counts[list(totals)] = list(totals.values())
+    else:
         # the exact conversion of each group's total, in the input order of
         # the groups' first entries; 2**63 or more: OverflowError
         seen = np.argsort(at)
@@ -509,127 +542,102 @@ def build_index(docs, labels, categories) -> Index:
             [totals.get(g, given[i])
              for g, i in zip(seen.tolist(), at[seen].tolist())],
             dtype=np.int64)
-    else:
-        counts = counts[at]
-        counts[list(totals)] = list(totals.values())
-        counts = counts.astype(np.int64)
-    del given
-    repeated, inverse = np.unique(group, return_inverse=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        sums = row_sums(inverse, weights[repeats], len(repeated), start=0.0)
-        weights = weights[at]
-        weights += 0.0  # a lone weight w is stored as 0.0 + w
-        weights[repeated] = sums
+    if explicit_at or len(repeats):
+        if in_bulk:
+            weights = given.astype(np.float64)
+        else:  # the walk converted every count that carries no weight
+            weights = np.zeros(len(given))
+            implicit = np.ones(len(given), dtype=bool)
+            implicit[explicit_at] = False
+            weights[implicit] = [float(given[i]) for i in
+                                 np.flatnonzero(implicit).tolist()]
+        weights[explicit_at] = explicit
+        del given
+        repeated, inverse = np.unique(group, return_inverse=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            sums = row_sums(inverse, weights[repeats], len(repeated),
+                            start=0.0)
+            weights = weights[at]
+            weights += 0.0  # a lone weight w is stored as 0.0 + w
+            weights[repeated] = sums
+    else:  # no weights to add up: each is its count
+        del given
+        weights = counts.astype(np.float64)
+    del explicit_at, explicit
     for bad, error in ((counts <= 0, "content entry {}: non-positive count"),
                        (~np.isfinite(weights),
                         "weighting entry {}: non-finite weight")):
         if bad.any():  # the first bad group in input order
             g = np.flatnonzero(bad)[np.argmin(at[bad])]
-            raise ValidationError(error.format((int(rows[g]),
-                                                int(features[g]))))
+            raise ValidationError(error.format(divmod(int(keys[g]),
+                                                      n_feats)))
+    del at, bad
+    # the remainders overwrite the keys
+    rows, features = np.divmod(keys, n_feats,
+                               out=(np.empty_like(keys), keys))
+    del keys
     arrays = _csr(len(names), rows, features, counts, weights, label_matrix)
     return Index._from_arrays(cat_db, feat_db, doc_db, arrays,
-                              _frozen(np.ones(len(at), dtype=bool)),
+                              _frozen(np.ones(len(counts), dtype=bool)),
                               GLOBAL_DOMAIN)
 
 
-def _streamed_index(docs, labels, categories) -> Index | None:
-    """:func:`build_index` of `docs`, read once: each document's entries
-    become a feature id and a count as they are read, and are not kept.
-    None where build_index must decide (and raise): an entry that is not a
-    (str, positive int) pair, a text repeated within a document, or a bad
-    or repeated name.
-
-    Ids follow first occurrence, as build_index's do; the weights are the
-    counts.
-    """
-    vocabulary: dict = {}  # feature text -> id
-    names, lengths, feature_ids, counts = [], [], [], []
-    for name, entries in docs:
-        entries = list(entries)
-        if not (set(map(type, entries)) <= {tuple}
-                and set(map(len, entries)) <= {2}):
+def _bulk_document(entries):
+    """The texts, counts and weights {position: weight} of a document's
+    `entries`, checked in bulk; None unless each entry is a 2- or 3-tuple of
+    a good feature name, a positive int count and, if a third item is given,
+    None or a number as weight, and the counts add up to less than 2**63,
+    so each sum of them is an int64."""
+    try:
+        sizes = set(map(len, entries))
+        if not (set(map(type, entries)) <= {tuple} and sizes <= {2, 3}):
             return None
         texts = list(map(itemgetter(0), entries))
-        given = list(map(itemgetter(1), entries))
-        if not (set(map(type, texts)) <= {str}
-                and set(map(type, given)) <= {int}):
+        counts = list(map(itemgetter(1), entries))
+        joined = "".join(texts)
+        if not (all(texts)
+                and not any(ch in joined for ch in _FORBIDDEN_NAME_CHARS)
+                and set(map(type, counts)) <= {int}
+                and 0 < min(counts, default=1) and sum(counts) < 2**63):
             return None
-        # a text is new when the vocabulary, which the update grows as it
-        # reads, lacks it: a text repeated in the document takes one id
-        vocabulary.update(zip(filterfalse(vocabulary.__contains__, texts),
-                              count(len(vocabulary))))
-        feature_ids += map(vocabulary.__getitem__, texts)
-        counts += given
-        names.append(name)
-        lengths.append(len(texts))
-    features = list(vocabulary)
-    del vocabulary
-    if (not set(map(type, names)) <= {str}
-            or _first_bad_name("document", names) is not None
-            or _first_bad_name("feature", features) is not None):
+        weights = {}
+        if 3 in sizes:
+            weights = {i: float(entry[2]) for i, entry in enumerate(entries)
+                       if len(entry) == 3 and entry[2] is not None}
+    except (TypeError, ValueError, OverflowError):
         return None
-    n_feats = len(features)
-    keys = np.repeat(np.arange(len(names), dtype=np.int64) * n_feats,
-                     np.array(lengths, dtype=np.int64))
-    keys += np.array(feature_ids, dtype=np.int64)
-    del feature_ids
-    try:
-        counts = np.array(counts, dtype=np.int64)
-    except OverflowError:  # 2**63 or more
-        return None
-    if (counts <= 0).any():
-        return None
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():  # a text repeated within a document
-        return None
-    counts = counts[order]
-    del order
-    rows, feature_col = np.divmod(keys, n_feats)
-    del keys
-    cat_db = ConceptDb(categories, kind="category")
-    doc_db = ConceptDb(names, kind="document", _checked=True)
-    arrays = _csr(len(names), rows, feature_col, counts,
-                  counts.astype(np.float64),
-                  _label_matrix(labels, doc_db, cat_db))
-    return Index._from_arrays(
-        cat_db, ConceptDb(features, kind="feature", _checked=True), doc_db,
-        arrays, _frozen(np.ones(len(counts), dtype=bool)), GLOBAL_DOMAIN)
+    return texts, counts, weights
 
 
-def _checked_entries(names, entries):
-    """The tables, the feature texts and counts as given, and the float64
-    counts (None from a total of 2**52 on, where sums may round) and weights
-    of `entries`; None unless each entry is a tuple or list of 2 or 3 items
-    with a positive, finite, integral int or float count and a number as
-    weight, and each name is good."""
-    try:
-        if not set(map(type, entries)) <= {tuple, list}:
-            return None
-        sizes = np.fromiter(map(len, entries), np.int64, len(entries))
-        if not np.isin(sizes, (2, 3)).all():
-            return None
-        threes = np.flatnonzero(sizes == 3)
-        del sizes
-        given = list(map(itemgetter(1), entries))
-        if not set(map(type, given)) <= {int, float}:
-            return None
-        counts = np.array(given, dtype=np.float64)
-        if not ((counts > 0).all() and np.isfinite(counts).all()
-                and (np.floor(counts) == counts).all()):
-            return None
-        weights = counts.copy()
-        explicit = [i for i in threes.tolist() if entries[i][2] is not None]
-        weights[explicit] = [float(entries[i][2]) for i in explicit]
-        doc_db = ConceptDb(names, kind="document")
-        texts = list(map(itemgetter(0), entries))
-        feat_db = ConceptDb(dict.fromkeys(texts), kind="feature")
-    except (ValidationError, TypeError, ValueError, OverflowError):
-        return None
-    with np.errstate(over="ignore"):  # an infinite sum is not exact either
-        exact = counts.sum() < 2**52
-    return doc_db, feat_db, texts, given, counts if exact else None, weights
+def _walked_document(name, entries):
+    """:func:`_bulk_document` of the document `name`'s `entries`, read one
+    by one: the first bad entry raises the error of the type and text an
+    entry-by-entry build gives it.  Counts add up as in the build, so a sum
+    fails in place, and the count of an entry that carries no weight
+    converts to a float."""
+    totals, texts, counts, weights = {}, [], [], {}
+    for i, entry in enumerate(entries):
+        if len(entry) == 3:
+            text, count, weight = entry
+        else:
+            text, count = entry
+            weight = None
+        if count <= 0:
+            raise ValidationError(
+                f"non-positive count {count} for feature {text!r} in {name!r}")
+        if count != int(count):  # counts are stored as int64
+            raise ValidationError(
+                f"fractional count {count} for feature {text!r} in {name!r}")
+        total = totals.get(text, 0)  # hashes the text first
+        _check_name("feature", text)
+        totals[text] = total + count
+        if weight is None:
+            float(count)
+        else:
+            weights[i] = float(weight)
+        texts.append(text)
+        counts.append(count)
+    return texts, counts, weights
 
 
 def _label_matrix(labels, doc_db: ConceptDb, cat_db: ConceptDb) -> np.ndarray:
@@ -648,47 +656,6 @@ def _label_matrix(labels, doc_db: ConceptDb, cat_db: ConceptDb) -> np.ndarray:
     matrix = np.zeros((len(doc_db), len(cat_db)), dtype=bool)
     matrix[d_ids, c_ids] = True
     return matrix
-
-
-def _raise_first_bad_entry(names, ends, entries) -> None:
-    """Raise the error of the first bad document name or entry in input
-    order, of the type and text an entry-by-entry build gives it; return if
-    there is none.  Counts add up as in the build, so a sum fails in place."""
-    seen_docs, totals = set(), {}
-    for name, start, stop in zip(names, [0] + ends, ends):
-        _check_name("document", name)
-        if name in seen_docs:
-            raise ValidationError(f"duplicate docName {name!r}")
-        seen_docs.add(name)
-        for entry in entries[start:stop]:
-            if len(entry) == 3:
-                text, count, weight = entry
-            else:
-                text, count = entry
-                weight = None
-            if count <= 0:
-                raise ValidationError(
-                    f"non-positive count {count} for feature {text!r} in {name!r}")
-            if count != int(count):  # counts are stored as int64
-                raise ValidationError(
-                    f"fractional count {count} for feature {text!r} in {name!r}")
-            total = totals.get((name, text), 0)  # hashes the text first
-            _check_name("feature", text)
-            totals[name, text] = total + count
-            float(count if weight is None else weight)
-
-
-def _walked_entries(names, ends, entries):
-    """:func:`_checked_entries` of entries that pass the walk, the counts
-    left to the exact conversion; a name that is no str fails the tables."""
-    _raise_first_bad_entry(names, ends, entries)
-    entries = list(map(tuple, entries))  # the items unpacking reads
-    texts = list(map(itemgetter(0), entries))
-    weights = np.array([float(e[1] if len(e) == 2 or e[2] is None else e[2])
-                        for e in entries], dtype=np.float64)
-    return (ConceptDb(names, kind="document"),
-            ConceptDb(dict.fromkeys(texts), kind="feature"), texts,
-            list(map(itemgetter(1), entries)), None, weights)
 
 
 def query_document_features(index: Index, d_id: int):
@@ -753,24 +720,24 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
 #
 # An index directory holds UTF-8, LF-terminated, tab-separated files.  The
 # layout is stable and sorted so that serializing the same index twice (or a
-# deserialized copy of it) produces byte-identical files.  The numeric
-# relations are encoded from the index arrays in bulk, one %-format per
-# chunk of rows: "%d" writes an int as str() does and "%r" a float as
-# repr() does, so the bytes are those of one f-string per row.  A file is
-# written chunk by chunk as it is encoded.  A weighting relation that is
-# exactly the counts is written along with the content, each content chunk
-# with ".0" before each newline, since repr(float(n)) == f"{n}.0" for every
-# integer 0 < n <= 2**53.  Each file is decoded with one read and, for the
-# numeric relations, one numpy parse of all its rows; a concept file is one
-# split of its text.  Blank lines are skipped.  A malformed row (wrong
-# field count, non-numeric field, unknown id, duplicate key) is a
-# ParseError naming its line; the line is looked up only once a file has
-# failed to decode.
+# deserialized copy of it) produces byte-identical files.  The concept,
+# relation and domain files are encoded in bulk, one %-format per chunk of
+# rows: "%d" writes an int as str() does, "%s" a name as it is and "%r" a
+# float as repr() does, so the bytes are those of one f-string per row.  A
+# file is written chunk by chunk as it is encoded.  A weighting relation
+# that is exactly the counts is written along with the content, each content
+# chunk with ".0" before each newline, since repr(float(n)) == f"{n}.0" for
+# every integer 0 < n <= 2**53.  Each file is decoded with one read and, for
+# the numeric relations, one numpy parse of all its rows; a concept file is
+# one split of its text.  Blank lines are skipped.  A malformed row (wrong
+# field count, non-numeric field, unknown id, duplicate key) is a ParseError
+# naming its line; the line is looked up only once a file has failed to
+# decode.
 
 FORMAT_VERSION = 1
 
-#: rows per %-format when encoding a relation; bounds the size of the
-#: format string, of the list and tuple of cells it formats and of a chunk
+#: rows per %-format when encoding a file; bounds the size of the format
+#: string, of the list and tuple of cells it formats and of a chunk
 _ENCODE_CHUNK_ROWS = 2**12
 
 
@@ -792,16 +759,21 @@ def _index_chunks(index: Index):
     it is read: a file's bytes are its chunks joined.  Files come one after
     another, but a raw index's weights.tsv chunks alternate with the
     content chunks they are made from."""
-    def lines(name, pairs):
-        return name, "".join(f"{a}\t{b}\n" for a, b in pairs).encode("utf-8")
+    def rows(name, row_format, *columns):
+        for chunk in _format_rows(row_format, *columns):
+            yield name, chunk
 
-    yield lines("meta.tsv", (("format_version", FORMAT_VERSION),
-                             ("documents", index.num_documents),
-                             ("features", index.num_features),
-                             ("categories", index.num_categories)))
-    yield lines("categories.tsv", index.categories)
-    yield lines("features.tsv", index.features)
-    yield lines("documents.tsv", index.documents)
+    def concepts(name, table):
+        return rows(name, "%d\t%s\n", np.arange(len(table)),
+                    np.array(table._names, dtype=object))
+
+    yield "meta.tsv", (f"format_version\t{FORMAT_VERSION}\n"
+                       f"documents\t{index.num_documents}\n"
+                       f"features\t{index.num_features}\n"
+                       f"categories\t{index.num_categories}\n").encode()
+    yield from concepts("categories.tsv", index.categories)
+    yield from concepts("features.tsv", index.features)
+    yield from concepts("documents.tsv", index.documents)
     a, weighted = index.arrays(), index._weighted
     content = _format_rows("%d\t%d\t%d\n", a.rows, a.features, a.counts)
     if (weighted.all() and (not a.counts.size or a.counts.max() <= 2**53)
@@ -812,14 +784,14 @@ def _index_chunks(index: Index):
     else:
         for chunk in content:
             yield "content.tsv", chunk
-        for chunk in _format_rows("%d\t%d\t%r\n", a.rows[weighted],
-                                  a.features[weighted], a.weights[weighted]):
-            yield "weights.tsv", chunk
-    for chunk in _format_rows("%d\t%d\n", *np.nonzero(a.labels)):
-        yield "classification.tsv", chunk
+        yield from rows("weights.tsv", "%d\t%d\t%r\n", a.rows[weighted],
+                        a.features[weighted], a.weights[weighted])
+    yield from rows("classification.tsv", "%d\t%d\n", *np.nonzero(a.labels))
     if index.domain.local:
-        yield lines("domain.tsv", sorted(
-            (f, c) for c, fs in index.domain.valid.items() for f in fs))
+        pairs = sorted((f, c) for c, fs in index.domain.valid.items()
+                       for f in fs)
+        yield from rows("domain.tsv", "%d\t%d\n",
+                        *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
 def index_file_map(index: Index) -> dict:

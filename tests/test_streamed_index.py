@@ -1,10 +1,10 @@
-"""`documents_to_index` builds a text corpus in one streaming pass, keeping
-a feature id and a count per entry and no document's entries.  Checked
-against `build_index` over the same extracted entries, kept here as the
-reference: valid corpora serialize to the same bytes, and inputs the pass
-cannot take exactly (bad or repeated names, unknown labels, entries that
-are not (str, positive int) pairs, texts repeated within a document) give
-the same index or raise the same error."""
+"""`documents_to_index` builds a text corpus with one `build_index` call,
+which reads each document's entries once and keeps a feature id and a count
+per entry, not the entries.  Checked against the entry-by-entry oracle of
+`test_build_index_reference` over the same extracted entries: valid corpora
+serialize to the same bytes, and odd inputs (bad or repeated names, unknown
+labels, entries that are not (str, positive int) pairs, texts repeated
+within a document) give the same index or raise the same error."""
 
 from dataclasses import replace
 
@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jatecs import build_index
 from jatecs.corpus import RawDocument, documents_to_index
-from jatecs.index import _streamed_index, index_file_map
+from jatecs.index import index_file_map
 from jatecs.textproc import ExtractorConfig, english_stopwords
+
+from test_build_index_reference import reference_build_index
 
 CATEGORIES = ["sports", "politics", "science"]
 
@@ -60,8 +61,8 @@ def corpora(draw):
 
 
 def _reference(documents, extractor):
-    """build_index over the entries the extractor gives each document."""
-    return build_index(
+    """The oracle over the entries the extractor gives each document."""
+    return reference_build_index(
         [(doc.name, list(extractor.extract(doc.text))) for doc in documents],
         [(doc.name, list(doc.labels)) for doc in documents], CATEGORIES)
 
@@ -82,11 +83,6 @@ def _outcome(build):
          extractor=ExtractorConfig())
 def test_streamed_text_corpora_are_build_index(documents, extractor):
     expected = index_file_map(_reference(documents, extractor))
-    streamed = _streamed_index(
-        ((doc.name, extractor.extract(doc.text)) for doc in documents),
-        [(doc.name, list(doc.labels)) for doc in documents], CATEGORIES)
-    assert streamed is not None
-    assert index_file_map(streamed) == expected
     assert index_file_map(documents_to_index(documents, CATEGORIES,
                                              extractor)) == expected
 
@@ -99,7 +95,7 @@ def test_bad_names_and_unknown_labels_raise_as_build_index(documents,
                                                            faults):
     """An empty or tab/newline-holding document name, a repeated one (the
     document again, after itself) or an unknown label: the same error as
-    build_index's, the first in its order."""
+    the oracle's, the first in its order."""
     for position, fault in faults:
         at = position % len(documents)
         doc = documents[at]
@@ -144,7 +140,7 @@ entries = st.one_of(
 @example(per_doc=[[("a", 2**63)]])
 def test_odd_entries_give_build_index_outcome(per_doc):
     """Repeated texts, 3-tuples, lists, float, bool, non-positive and huge
-    counts, bad feature names: the index or the error build_index gives."""
+    counts, bad feature names: the index or the error the oracle gives."""
     documents = [RawDocument(name=f"d{i}", text=str(i), labels=())
                  for i in range(len(per_doc))]
     extractor = _Listed(per_doc)
@@ -158,5 +154,10 @@ def test_odd_entries_give_build_index_outcome(per_doc):
     [[("a", True)]], [[("a", 0)]], [[("a", 2**63)]], [[("", 1)]],
     [[(1, 1)]]])
 def test_the_pass_leaves_odd_entries_to_build_index(per_doc):
-    assert _streamed_index(iter([("d0", per_doc[0])]), [("d0", [])],
-                           CATEGORIES) is None
+    """Entries the bulk check does not take are walked one by one: the
+    index or the error the oracle gives."""
+    documents = [RawDocument(name="d0", text="0", labels=())]
+    extractor = _Listed(per_doc)
+    assert _outcome(lambda: documents_to_index(
+        documents, CATEGORIES, extractor)) == _outcome(
+        lambda: _reference(documents, extractor))
