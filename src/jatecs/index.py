@@ -268,13 +268,19 @@ def _placed(docs, feats, n_docs, n_feats, source: _Rows):
 def _stored(n_docs, n_feats, n_cats, content, weights, classification):
     """The arrays and the weight mask of an index from the rows of its
     content, weighting and classification relations; bad ids, counts and
-    weights and repeated keys are rejected."""
+    weights and repeated keys are rejected.  `weights` None weights every
+    entry by its count."""
     rows = content.rows
     content.check_ids(rows["d"], n_docs, "document")
     content.check_ids(rows["f"], n_feats, "feature")
     content.check(rows["n"] <= 0, "non-positive count")
     rows = content.sorted_rows(rows, "d", "f", n_feats, "content")
-    placed, weighted = _placed(rows["d"], rows["f"], n_docs, n_feats, weights)
+    if weights is None:  # the weights are the counts
+        placed = rows["n"].astype(np.float64)
+        weighted = np.ones(len(rows), dtype=bool)
+    else:
+        placed, weighted = _placed(rows["d"], rows["f"], n_docs, n_feats,
+                                   weights)
     pairs = classification.rows
     classification.check_ids(pairs["a"], n_docs, "document")
     classification.check_ids(pairs["b"], n_cats, "category")
@@ -830,7 +836,12 @@ class _TsvFile(_Rows):
         with open(self.path, "rb") as fh:
             self.data = fh.read()
         if row_type is not None:
-            self.rows = self.columns(row_type)
+            self.parse(row_type)
+
+    def parse(self, row_type: np.dtype) -> "_TsvFile":
+        """Decode the rows, with the columns of `row_type`."""
+        self.rows = self.columns(row_type)
+        return self
 
     def lines(self):
         """(line number, line) of every non-blank line."""
@@ -887,18 +898,25 @@ class _TsvFile(_Rows):
         return ParseError(self.path, 0, "unreadable rows")
 
 
+_META_COUNTS = ("documents", "features", "categories")
+
+
 def _read_meta(directory) -> dict:
     tsv = _TsvFile(directory, "meta.tsv")
     meta = {}
     for line_no, key, value in tsv.text_rows():
+        if key in meta:
+            raise ParseError(tsv.path, line_no, f"repeated {key}")
         try:
             meta[key] = int(value)
         except ValueError:
             raise ParseError(tsv.path, line_no, f"non-integer {key}") from None
+        if key in _META_COUNTS and meta[key] < 0:
+            raise ParseError(tsv.path, line_no, f"negative {key} count")
     if meta.get("format_version") != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported index format_version {meta.get('format_version')}")
-    for key in ("documents", "features", "categories"):
+    for key in _META_COUNTS:
         if key not in meta:
             raise ParseError(tsv.path, 0, f"no {key} count")
     return meta
@@ -949,6 +967,22 @@ def _walked_concepts(tsv: _TsvFile, name, kind, expected) -> list:
     return names
 
 
+def _raw_weights(content: _TsvFile, weights: bytes) -> bool:
+    """Whether `weights` is the raw weighting _index_chunks writes for the
+    parsed `content`: its bytes with ".0" before every LF, where they hold
+    only digits, tabs and LFs and each line was one row.  Such a file would
+    parse to the counts as float64, one weight per entry, and pass every
+    weight check; other bytes (a space, a CR) may parse in an integer
+    field but not before ".0", and a blank line is no row of content but a
+    bad row of weights, so they take the parse."""
+    data = content.data
+    newlines = data.count(b"\n")
+    return (len(content.rows) == newlines + (data[-1:] not in b"\n")
+            and len(weights) == len(data) + 2 * newlines  # before the copy
+            and not data.translate(None, b"0123456789\t\n")
+            and weights == data.replace(b"\n", b".0\n"))
+
+
 def deserialize_index(directory) -> Index:
     """Load an index directory written by :func:`serialize_index`."""
     meta = _read_meta(directory)
@@ -958,10 +992,12 @@ def deserialize_index(directory) -> Index:
                              meta["features"])
     doc_db = _read_concepts(directory, "documents.tsv", "document",
                             meta["documents"])
+    content = _TsvFile(directory, "content.tsv", _CONTENT_ROW)
+    weights = _TsvFile(directory, "weights.tsv")
     arrays, weighted = _stored(
-        len(doc_db), len(feat_db), len(cat_db),
-        _TsvFile(directory, "content.tsv", _CONTENT_ROW),
-        _TsvFile(directory, "weights.tsv", _WEIGHT_ROW),
+        len(doc_db), len(feat_db), len(cat_db), content,
+        None if _raw_weights(content, weights.data)
+        else weights.parse(_WEIGHT_ROW),
         _TsvFile(directory, "classification.tsv", _PAIR_ROW))
     domain = GLOBAL_DOMAIN
     if os.path.exists(os.path.join(directory, "domain.tsv")):

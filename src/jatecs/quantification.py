@@ -18,6 +18,7 @@ The pool composition is a registry, so swapping members is trivial.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,40 @@ def scale_scores(scaling: LogisticScaling, raw_scores) -> np.ndarray:
     return np.where(positive, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+class RateCurve(Sequence):
+    """The (threshold, tpr, fpr) points of a rate curve, read from a
+    read-only 3 x n float64 array of thresholds, tpr and fpr: an item is a
+    tuple of three floats, a slice a tuple of them.  It compares equal to,
+    and hashes like, the tuple of its points."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+
+    def __len__(self) -> int:
+        return self.points.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(*self.points[:, i].tolist()))
+        return tuple(self.points[:, i].tolist())
+
+    def __iter__(self):
+        return zip(*self.points.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, RateCurve)):
+            return self[:] == other  # a RateCurve answers reflected
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 def _rate_curve(scores, labels):
     """(threshold, tpr, fpr) at every distinct score, descending threshold.
 
@@ -79,28 +114,29 @@ def _rate_curve(scores, labels):
 
 def _rate_curves(scores, labels) -> list:
     """_rate_curve of every column of the D x C `scores` and `labels`, from
-    one stable sort of each column by descending score."""
-    n_docs, n_cats = scores.shape
-    if not n_docs:
-        return [()] * n_cats
+    one stable sort of each column by descending score: RateCurve views of
+    one 3 x (points) array, whose rates are divided at the points only."""
+    n_docs = len(scores)
     order = np.argsort(-scores, axis=0, kind="stable")
     ordered = np.take_along_axis(scores, order, axis=0).T
     tp = np.cumsum(np.take_along_axis(labels, order, axis=0), axis=0).T
-    fp = np.arange(1, n_docs + 1) - tp
+    del order  # freed before the D x C arrays below
     # a point per run of equal scores: its first score, the rates at its end
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     last = np.ones(ordered.shape, dtype=bool)
     last[:, :-1] = first[:, 1:]
-    n_pos = tp[:, -1:]
-    tpr = np.zeros(tp.shape)
-    np.divide(tp, n_pos, out=tpr, where=n_pos != 0)
-    fpr = np.zeros(fp.shape)
-    np.divide(fp, n_docs - n_pos, out=fpr, where=n_pos != n_docs)
-    thresholds, tpr, fpr = ordered[first], tpr[last], fpr[last]
-    ends = np.cumsum(np.count_nonzero(first, axis=1)).tolist()
-    return [tuple(zip(thresholds[start:end].tolist(), tpr[start:end].tolist(),
-                      fpr[start:end].tolist()))
+    sizes = np.count_nonzero(first, axis=1)
+    points = np.zeros((3, sizes.sum()))
+    points[0] = ordered[first]
+    n_pos = np.broadcast_to(tp[:, -1:], tp.shape)[last]
+    tp = tp[last]
+    np.divide(tp, n_pos, out=points[1], where=n_pos != 0)
+    fp = np.broadcast_to(np.arange(1, n_docs + 1), last.shape)[last] - tp
+    np.divide(fp, n_docs - n_pos, out=points[2], where=n_pos != n_docs)
+    points.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    return [RateCurve(points[:, start:end])
             for start, end in zip([0] + ends[:-1], ends)]
 
 
@@ -112,8 +148,9 @@ class RatesEstimate:
     fpr: float
     tpr_p: float
     fpr_p: float
-    curve: tuple         # over raw scores
-    curve_scaled: tuple  # over logistic-scaled scores
+    # (threshold, tpr, fpr) points: a RateCurve, or a tuple of the points
+    curve: Sequence         # over raw scores
+    curve_scaled: Sequence  # over logistic-scaled scores
 
 
 @dataclass(frozen=True)
@@ -223,7 +260,8 @@ def _best_threshold(curve) -> tuple:
     are never NaN."""
     if not curve:
         return None
-    _, tpr, fpr = np.array(curve).T
+    _, tpr, fpr = (curve.points if isinstance(curve, RateCurve)
+                   else np.array(curve).T)
     return curve[int(np.argmax(tpr - fpr))]
 
 
