@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import os
+from collections.abc import Sequence
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -164,6 +165,41 @@ def _offsets(keys, n: int) -> np.ndarray:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
     return offsets
+
+
+class ArrayRows(Sequence):
+    """The rows of equal-length numpy columns, read as they are asked for:
+    an item is the tuple of each column's item, as Python scalars, and a
+    slice a tuple of such rows.  It compares equal to, and hashes like, the
+    tuple of its rows."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(*[column[i].tolist() for column in self.columns]))
+        return tuple([column.item(i) for column in self.columns])
+
+    def __iter__(self):
+        positions = range(len(self))
+        return zip(*[map(column.item, positions) for column in self.columns])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, ArrayRows)):
+            return self[:] == other  # an ArrayRows answers reflected
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
 
 
 def _csr(n_docs, rows, features, counts, weights, labels) -> IndexArrays:
@@ -872,8 +908,10 @@ class _TsvFile(_Rows):
                 for line_no, line in enumerate(lines, start=1) if line]
 
     def columns(self, row_type: np.dtype) -> np.ndarray:
-        """All rows of a numeric file parsed at once, one field per column."""
-        if not self.data.strip():
+        """All rows of a numeric file parsed at once, one field per column;
+        no rows when every line is blank (only LF and CR bytes), while a
+        line of spaces or tabs fails on its line."""
+        if not self.data.strip(b"\r\n"):
             return np.zeros(0, dtype=row_type)
         try:
             return np.loadtxt(io.BytesIO(self.data), dtype=row_type,

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .experiments import SIMPLE, STRATIFIED, make_folds, out_of_fold
-from .index import Index, subset_index  # bench/tracing.py rebinds it
+from .index import ArrayRows, Index
+from .index import subset_index  # bench/tracing.py rebinds it
 from .learners import TrainedClassifier, train
 from .sums import seq_sum
 
@@ -67,38 +68,16 @@ def scale_scores(scaling: LogisticScaling, raw_scores) -> np.ndarray:
     return np.where(positive, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-class RateCurve(Sequence):
-    """The (threshold, tpr, fpr) points of a rate curve, read from a
-    read-only 3 x n float64 array of thresholds, tpr and fpr: an item is a
-    tuple of three floats, a slice a tuple of them.  It compares equal to,
-    and hashes like, the tuple of its points."""
+class RateCurve(ArrayRows):
+    """The (threshold, tpr, fpr) points of a rate curve, read from the rows
+    of `points`, a read-only 3 x n float64 array of thresholds, tpr and
+    fpr: an item is a tuple of three floats, a slice a tuple of them."""
 
     __slots__ = ("points",)
 
     def __init__(self, points: np.ndarray):
+        super().__init__(*points)
         self.points = points
-
-    def __len__(self) -> int:
-        return self.points.shape[1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(zip(*self.points[:, i].tolist()))
-        return tuple(self.points[:, i].tolist())
-
-    def __iter__(self):
-        return zip(*self.points.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, RateCurve)):
-            return self[:] == other  # a RateCurve answers reflected
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[:])
-
-    def __repr__(self) -> str:
-        return repr(self[:])
 
 
 def _rate_curve(scores, labels):

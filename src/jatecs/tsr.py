@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import ValidationError
-from .index import DomainDb, Index, subset_index
+from .index import ArrayRows, DomainDb, Index, subset_index
 
 IG = "IG"
 CHI2 = "Chi2"
@@ -150,39 +149,11 @@ def tsr_score(counts: CooccurrenceCounts, func: str) -> float:
     return _formula(func)(counts.a, counts.b, counts.c, counts.d)
 
 
-class RankingEntries(Sequence):
+class RankingEntries(ArrayRows):
     """The (fID, score) pairs of a ranking, read from its id order and its
-    scores: an item is an (int, float) pair, a slice a tuple of them.  It
-    compares equal to, and hashes like, the tuple of its pairs."""
+    scores: an item is an (int, float) pair, a slice a tuple of them."""
 
-    __slots__ = ("ids", "scores")
-
-    def __init__(self, ids: np.ndarray, scores: np.ndarray):
-        self.ids, self.scores = ids, scores
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(zip(self.ids[i].tolist(), self.scores[i].tolist()))
-        return self.ids.item(i), self.scores.item(i)
-
-    def __iter__(self):
-        positions = range(len(self.ids))
-        return zip(map(self.ids.item, positions),
-                   map(self.scores.item, positions))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, RankingEntries)):
-            return self[:] == other  # a RankingEntries answers reflected
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[:])
-
-    def __repr__(self) -> str:
-        return repr(self[:])
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -197,8 +168,7 @@ class FeatureRanking:
 
     def top(self, k: int) -> list:
         """The ids of entries[:k], read without building the other pairs."""
-        stop = len(range(len(self.entries))[:k])  # as a slice takes k < 0
-        return [f for f, _ in islice(self.entries, stop)]
+        return [f for f, _ in self.entries[:k]]
 
 
 def _category_scores(index: Index, func: str, categories) -> np.ndarray:
