@@ -5,7 +5,8 @@
 #
 #   bash ci/cli_smoke.sh toy-outputs.sha256    (from the repository root)
 #
-# The outputs go to a fresh `mktemp -d` directory, which is kept.
+# The outputs go to a fresh `mktemp -d` directory, which is removed on
+# exit; only the hash file is kept.
 set -e
 test "$#" -eq 1 || { echo "usage: $0 HASH_FILE" >&2; exit 1; }
 # the README toy pipeline, once with flags and once with the same
@@ -13,6 +14,7 @@ test "$#" -eq 1 || { echo "usage: $0 HASH_FILE" >&2; exit 1; }
 export PYTHONPATH=src
 TOY=src/jatecs/data/toy
 OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
 python -m jatecs.cli pipeline \
   --input $TOY/corpus.csv --categories $TOY/categories.txt \
   --extractor chargrams --ngram 4 \
@@ -317,6 +319,20 @@ set -e
 cat $OUT/blank.err
 test "$CODE" -eq 2
 grep -q 'content.tsv:1:' $OUT/blank.err
+# a model whose model-meta.tsv first line is not this format's header
+# (here the `kind` line models were saved with before it) is a data
+# error naming that line
+cp -r $OUT/flags/model $OUT/stale-model
+sed -i '1s/.*/kind\tNaiveBayes/' $OUT/stale-model/model-meta.tsv
+set +e
+python -m jatecs.cli classify --model $OUT/stale-model \
+  --index $OUT/flags/index --out $OUT/stale-pred.tsv 2> $OUT/stale.err
+CODE=$?
+set -e
+cat $OUT/stale.err
+test "$CODE" -eq 2
+grep -q 'model-meta.tsv:1:' $OUT/stale.err
+test ! -e $OUT/stale-pred.tsv
 # every learner on the local feature domain: k-fold and
 # train/classify per learner
 for LEARNER in nb rocchio knn boost; do

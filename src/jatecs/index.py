@@ -507,7 +507,8 @@ def build_index(docs, labels, categories) -> Index:
     counts in flat lists, with a weight kept only for an entry that carries
     one; the entries themselves are not kept.  A document whose entries
     fail :func:`_bulk_document` is walked by :func:`_walked_document`, which
-    raises the first bad entry's error, as an entry-by-entry build would.
+    raises the first bad entry's error, as an entry-by-entry build would,
+    and hands in each text once, with its count total and weight sum.
     """
     cat_db = ConceptDb(categories, kind="category")
     labels = list(labels)
@@ -553,8 +554,7 @@ def build_index(docs, labels, categories) -> Index:
     del feature_ids
     keys += np.repeat(np.arange(len(names), dtype=np.int64) * n_feats,
                       np.array(lengths, dtype=np.int64))
-    if in_bulk:
-        given = np.array(given, dtype=np.int64)
+    given = np.array(given, dtype=np.int64)  # 2**63 or more: OverflowError
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
@@ -569,30 +569,15 @@ def build_index(docs, labels, categories) -> Index:
     del order
     keys = keys[first]
     del first
-    totals: dict = {}  # repeated groups, added up in input order
+    # repeated groups, added up in input order: only a document read in
+    # bulk repeats a text, and its counts add up to less than 2**63
+    totals: dict = {}
     for g, i in zip(group.tolist(), repeats.tolist()):
         totals[g] = totals.get(g, 0) + given[i]
-    if in_bulk:  # a document's counts add up to less than 2**63
-        counts = given[at]
-        counts[list(totals)] = list(totals.values())
-    else:
-        # the exact conversion of each group's total, in the input order of
-        # the groups' first entries; 2**63 or more: OverflowError
-        seen = np.argsort(at)
-        counts = np.empty(len(at), dtype=np.int64)
-        counts[seen] = np.array(
-            [totals.get(g, given[i])
-             for g, i in zip(seen.tolist(), at[seen].tolist())],
-            dtype=np.int64)
+    counts = given[at]
+    counts[list(totals)] = list(totals.values())
     if explicit_at or len(repeats):
-        if in_bulk:
-            weights = given.astype(np.float64)
-        else:  # the walk converted every count that carries no weight
-            weights = np.zeros(len(given))
-            implicit = np.ones(len(given), dtype=bool)
-            implicit[explicit_at] = False
-            weights[implicit] = [float(given[i]) for i in
-                                 np.flatnonzero(implicit).tolist()]
+        weights = given.astype(np.float64)
         weights[explicit_at] = explicit
         del given
         repeated, inverse = np.unique(group, return_inverse=True)
@@ -652,13 +637,14 @@ def _bulk_document(entries):
 
 
 def _walked_document(name, entries):
-    """:func:`_bulk_document` of the document `name`'s `entries`, read one
-    by one: the first bad entry raises the error of the type and text an
-    entry-by-entry build gives it.  Counts add up as in the build, so a sum
-    fails in place, and the count of an entry that carries no weight
-    converts to a float."""
-    totals, texts, counts, weights = {}, [], [], {}
-    for i, entry in enumerate(entries):
+    """The texts, counts and weights {position: weight} of the document
+    `name`'s `entries`, read one by one: the first bad entry raises the
+    error of the type and text an entry-by-entry build gives it.  Each text
+    comes once, in first-seen order, with its counts added up from 0 and its
+    weights (an entry's count as a float when it carries none) added onto
+    0.0, both in input order."""
+    totals, sums = {}, {}  # text -> count total, weight sum
+    for entry in entries:
         if len(entry) == 3:
             text, count, weight = entry
         else:
@@ -673,13 +659,9 @@ def _walked_document(name, entries):
         total = totals.get(text, 0)  # hashes the text first
         _check_name("feature", text)
         totals[text] = total + count
-        if weight is None:
-            float(count)
-        else:
-            weights[i] = float(weight)
-        texts.append(text)
-        counts.append(count)
-    return texts, counts, weights
+        sums[text] = sums.get(text, 0.0) + float(
+            count if weight is None else weight)
+    return list(totals), list(totals.values()), dict(enumerate(sums.values()))
 
 
 def _label_matrix(labels, doc_db: ConceptDb, cat_db: ConceptDb) -> np.ndarray:

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import numbered_lines
 from .errors import ParseError, ValidationError
 from .evaluation import label_map
 from .index import Index, _doc_nonzeros, _offsets, document_arrays
@@ -1000,11 +1001,21 @@ def predict_classification(classifier: TrainedClassifier, index: Index) -> dict:
 # -- model persistence -----------------------------------------------------------------
 
 
+#: the format of a saved model, named in the first line of its
+#: model-meta.tsv; bump it whenever a classifier's stored attributes change,
+#: so that load_classifier refuses the models written before
+MODEL_FORMAT = 1
+
+
+def _model_header(kind) -> str:
+    return f"jatecs-model\t{MODEL_FORMAT}\t{kind}"
+
+
 def save_classifier(classifier: TrainedClassifier, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "model.pkl"), "wb") as fh:
         pickle.dump(classifier, fh)
-    lines = [f"kind\t{classifier.kind}\n"]
+    lines = [_model_header(classifier.kind) + "\n"]
     for name in sorted(classifier.hyperparameters):
         lines.append(f"param\t{name}\t{classifier.hyperparameters[name]!r}\n")
     for c, label in enumerate(classifier.category_labels):
@@ -1028,4 +1039,12 @@ def load_classifier(directory) -> TrainedClassifier:
     if not isinstance(classifier, TrainedClassifier):
         raise ParseError(path, 0, "not a model file (holds a "
                          f"{type(classifier).__name__}, not a classifier)")
+    path = os.path.join(directory, "model-meta.tsv")
+    if not os.path.exists(path):
+        raise ParseError(path, 0, "missing: no model format header")
+    expected = _model_header(classifier.kind)
+    _, header = next(numbered_lines(path), (1, ""))  # not UTF-8: ParseError
+    if header != expected:
+        raise ParseError(path, 1, f"model header {header!r} is not "
+                         f"{expected!r}; train the model again")
     return classifier
