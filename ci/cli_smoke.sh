@@ -42,6 +42,18 @@ python -m jatecs.cli index \
 python -m jatecs.cli index \
   --input $TOY/corpus.csv --categories $TOY/categories.txt \
   --extractor chargrams --word-bounded false --out $OUT/flat
+# the toy index under two hash seeds: feature ids follow first-seen
+# token order, never the hash order of a set or dict, so both trees
+# must be the same bytes
+for SEED in 1 2; do
+  for EXTRACTOR in bow set chargrams; do
+    PYTHONHASHSEED=$SEED python -m jatecs.cli index \
+      --input $TOY/corpus.csv --categories $TOY/categories.txt \
+      --extractor $EXTRACTOR --stoplist en --stem en \
+      --out $OUT/hashseed-$SEED/$EXTRACTOR
+  done
+done
+diff -r $OUT/hashseed-1 $OUT/hashseed-2
 # a toy train/test split: two thirds of the lines train, the
 # rest are --test-input, indexed with the same stem memo
 awk 'NR % 3 != 0' $TOY/corpus.csv > $OUT/split-train.csv

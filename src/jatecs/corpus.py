@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
 from .index import Index, _check_name, build_index
+from .textproc import ExtractorConfig, FeatureIds
 
 # counts are stored as int64, so a value whose ceiling is a count must be
 # below this
@@ -461,16 +462,32 @@ def instances_to_documents(instances) -> list:
     return docs
 
 
+def _extracted(documents, extractor, vocabulary):
+    """The (name, extracted features, entries) of each document, extracted
+    as build_index draws it; the raw-token maps go when the last is drawn."""
+    if isinstance(extractor, ExtractorConfig):
+        ids = FeatureIds(vocabulary)
+        for doc in documents:
+            yield doc.name, extractor.extract(doc.text, ids), doc.features
+    else:
+        extract = extractor.extract if extractor is not None else lambda _: ()
+        for doc in documents:
+            yield doc.name, None, [*extract(doc.text), *doc.features]
+
+
 def documents_to_index(documents, categories, extractor=None) -> Index:
     """Build the index of `documents` with one build_index call, which
-    extracts each document as it reads it: a document's entries are the
-    extractor's features of its text, then its pre-extracted features
-    (ARFF numerics and nominals, LibSVM pairs), and are not kept."""
+    extracts each document as it reads it.  An ExtractorConfig hands in the
+    features of a document's text by id, in the build's one vocabulary, and
+    its pre-extracted features (ARFF numerics and nominals, LibSVM pairs)
+    follow as entries; any other extractor's entries are taken as
+    pre-extracted ones, ahead of the document's own.  No entries are kept.
+    """
     documents = list(documents)
     labels = [(doc.name, list(doc.labels)) for doc in documents]
-    extract = extractor.extract if extractor is not None else lambda text: ()
-    return build_index(((doc.name, [*extract(doc.text), *doc.features])
-                        for doc in documents), labels, categories)
+    vocabulary: dict = {}
+    return build_index(_extracted(documents, extractor, vocabulary), labels,
+                       categories, vocabulary)
 
 
 # reader name -> function(path, categories=, separator=) returning documents

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -487,7 +487,7 @@ class Index:
                                   self._weighted, domain)
 
 
-def build_index(docs, labels, categories) -> Index:
+def build_index(docs, labels, categories, vocabulary=None) -> Index:
     """Build an index from raw per-document feature counts and labels.
 
     docs: an iterable of (docName, [(featureText, count)]) pairs, read once;
@@ -495,6 +495,13 @@ def build_index(docs, labels, categories) -> Index:
           the count).
     labels: list of (docName, [categoryLabel]) pairs.
     categories: the category label universe, ids assigned in list order.
+    vocabulary: None, or the dict featureText -> id that an extraction
+          grows as build_index reads `docs` (a
+          :class:`~jatecs.textproc.FeatureIds`' vocabulary).  Each item of
+          `docs` is then a (docName, {featureId: count}, entries) triple:
+          the document's distinct extracted features by id, taken as they
+          are, followed by its entries as above.  The vocabulary is emptied
+          once it has become the feature table.
 
     IDs are assigned in first-seen order starting at 0.  Entries repeated
     within a document are aggregated: their counts add up as Python numbers
@@ -503,49 +510,67 @@ def build_index(docs, labels, categories) -> Index:
     weight is stored as 0.0).  The weighting relation starts out as raw
     frequencies so an unweighted index is still classifiable.
 
-    Each document's name is checked and its entries become feature ids and
+    Each document's name is checked and its features become feature ids and
     counts in flat lists, with a weight kept only for an entry that carries
-    one; the entries themselves are not kept.  A document whose entries
-    fail :func:`_bulk_document` is walked by :func:`_walked_document`, which
-    raises the first bad entry's error, as an entry-by-entry build would,
-    and hands in each text once, with its count total and weight sum.
+    one; the entries themselves are not kept.  Entries that fail
+    :func:`_bulk_document` are walked, after the document's extracted
+    features as entries, by :func:`_walked_document`, which raises the first
+    bad entry's error, as an entry-by-entry build would, and hands in each
+    text once, with its count total and weight sum.
     """
     cat_db = ConceptDb(categories, kind="category")
     labels = list(labels)
-    vocabulary: dict = {}  # feature text -> id
+    if vocabulary is None:
+        vocabulary = {}  # feature text -> id
+        docs = ((name, None, entries) for name, entries in docs)
     names, lengths, feature_ids, given = [], [], [], []
     explicit_at, explicit = [], []  # the entries that carry a weight
     seen_docs = set()
-    in_bulk = True  # every document read in bulk
-    for name, entries in docs:
+    in_bulk = True  # every document's entries read in bulk
+    known: list = []  # the vocabulary's texts by id, made for a walk
+    for name, extracted, entries in docs:
         _check_name("document", name)
         if name in seen_docs:
             raise ValidationError(f"duplicate docName {name!r}")
         seen_docs.add(name)
         if type(entries) is not list:
             entries = list(entries)
-        read = _bulk_document(entries)
-        if read is None:
-            read = _walked_document(name, entries)
-            in_bulk = False
+        texts = ()
+        if entries:
+            read = _bulk_document(entries)
+            if read is None:
+                if extracted:
+                    known += _texts_after(vocabulary, len(known))
+                    entries = [*zip(map(known.__getitem__, extracted),
+                                    extracted.values()), *entries]
+                    extracted = None
+                read = _walked_document(name, entries)
+                in_bulk = False
+            texts, counts, weights = read
         del entries
-        texts, counts, weights = read
-        # a text is new when the vocabulary, which the update grows as it
-        # reads, lacks it: a text repeated in the document takes one id
-        vocabulary.update(zip(filterfalse(vocabulary.__contains__, texts),
-                              count(len(vocabulary))))
-        feature_ids += map(vocabulary.__getitem__, texts)
-        if weights:
-            explicit_at += (len(given) + i for i in weights)
-            explicit += weights.values()
-        given += counts
+        length = len(texts)
+        if extracted:
+            feature_ids += extracted
+            given += extracted.values()
+            length += len(extracted)
+        if texts:
+            # a text is new when the vocabulary, which the update grows as
+            # it reads, lacks it: a text repeated in the document takes one
+            # id
+            vocabulary.update(zip(filterfalse(vocabulary.__contains__, texts),
+                                  count(len(vocabulary))))
+            feature_ids += map(vocabulary.__getitem__, texts)
+            if weights:
+                explicit_at += (len(given) + i for i in weights)
+                explicit += weights.values()
+            given += counts
         names.append(name)
-        lengths.append(len(texts))
+        lengths.append(length)
     del seen_docs
     # names that are no str fail the tables; texts read in bulk are checked
     doc_db = ConceptDb(names, kind="document")
     feat_db = ConceptDb(vocabulary, kind="feature", _checked=in_bulk)
-    del vocabulary
+    vocabulary.clear()  # the caller holds it too
     label_matrix = _label_matrix(labels, doc_db, cat_db)
     # one (document, feature) key per entry, sorted once; a group is the
     # entries of one key, in input order
@@ -569,13 +594,12 @@ def build_index(docs, labels, categories) -> Index:
     del order
     keys = keys[first]
     del first
-    # repeated groups, added up in input order: only a document read in
-    # bulk repeats a text, and its counts add up to less than 2**63
+    # repeated groups, added up in input order as Python ints
     totals: dict = {}
-    for g, i in zip(group.tolist(), repeats.tolist()):
-        totals[g] = totals.get(g, 0) + given[i]
+    for g, n in zip(group.tolist(), given[repeats].tolist()):
+        totals[g] = totals.get(g, 0) + n
     counts = given[at]
-    counts[list(totals)] = list(totals.values())
+    counts[list(totals)] = list(totals.values())  # 2**63: OverflowError
     if explicit_at or len(repeats):
         weights = given.astype(np.float64)
         weights[explicit_at] = explicit
@@ -607,6 +631,13 @@ def build_index(docs, labels, categories) -> Index:
     return Index._from_arrays(cat_db, feat_db, doc_db, arrays,
                               _frozen(np.ones(len(counts), dtype=bool)),
                               GLOBAL_DOMAIN)
+
+
+def _texts_after(vocabulary: dict, n: int) -> list:
+    """The texts of `vocabulary` after its first `n`, in id order."""
+    texts = list(islice(reversed(vocabulary), len(vocabulary) - n))
+    texts.reverse()
+    return texts
 
 
 def _bulk_document(entries):

@@ -5,13 +5,19 @@ text is lowercased, and tokenization splits on Unicode whitespace plus a
 fixed punctuation set.  Tokens left with no letter or digit (e.g. a bare "&")
 are dropped.  Stop word removal runs before stemming.
 
-Per-token work (the letter/digit test, the stop list and stemming) runs once
-per distinct token of a corpus pass: an `ExtractorConfig` memoizes each
-lowercased raw token's feature text, or None for a dropped token, and hands
-that memo to `extract_bow` / `extract_char_ngrams`.  Called without a memo,
-they memoize within the one text.  Sharing a config across threads stays
-safe: a dict lookup or store is atomic under the GIL, and two threads that
-miss on the same token both compute the same pure value.
+Extraction assigns feature ids as it reads.  A :class:`FeatureIds`, one per
+index build, holds the build's vocabulary (feature text -> id, ids in
+first-seen order) and a raw-token map: a lowercased raw token -> its id
+(None for a dropped token) for bag of words, or -> the tuple of its grams'
+ids for word-bounded n-grams.  Given one, `extract_bow`,
+`extract_char_ngrams` and `extract_set` return a document's distinct
+{feature id: count}; called without, they return [(featureText, count)] in
+first-seen order, through a FeatureIds of their own.  So per-token work (the
+letter/digit test, the stop list, stemming and the id lookup) runs once per
+distinct token of a build.  An `ExtractorConfig` also keeps a stem memo:
+each lowercased raw token -> its feature text, or None for a dropped token,
+which outlives the build, so a second corpus indexed with the same config
+stems no token again.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import importlib.resources
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse
 
 from .porter import porter_stem
 
@@ -77,8 +84,44 @@ def tokenize(text: str) -> list:
     return [t for t in _raw_tokens(text) if _has_alnum(t)]
 
 
-def _aggregate(features) -> list:
-    return list(Counter(features).items())
+class FeatureIds:
+    """One index build's feature ids (see the module doc).
+
+    `vocabulary` is shared by the whole build; `tokens` and `prefix` belong
+    to one extractor: a Set's child `i` gets its own FeatureIds from
+    `child`, whose texts are namespaced "<i>#" when the Set namespaces.
+    Use a FeatureIds with one extractor only.
+    """
+
+    def __init__(self, vocabulary=None, prefix=""):
+        self.vocabulary = {} if vocabulary is None else vocabulary
+        self.prefix = prefix
+        self.tokens: dict = {}
+        self._children: dict = {}
+
+    def assign(self, texts) -> list:
+        """The ids of the features `texts` (namespaced), new ones in turn;
+        a None stays None."""
+        vocabulary, prefix = self.vocabulary, self.prefix
+        return [None if text is None else
+                vocabulary.setdefault(prefix + text, len(vocabulary))
+                for text in texts]
+
+    def child(self, i: int, namespacing: bool) -> "FeatureIds":
+        child = self._children.get(i)
+        if child is None:
+            prefix = f"{self.prefix}{i}#" if namespacing else self.prefix
+            child = self._children[i] = FeatureIds(self.vocabulary, prefix)
+        return child
+
+
+def _texts(extract, *args, **kwargs) -> list:
+    """[(featureText, count)] in first-seen order: `extract`'s features
+    through a FeatureIds of its own."""
+    ids = FeatureIds()
+    counts = extract(*args, ids=ids, **kwargs)
+    names = list(ids.vocabulary)
+    return [(names[i], n) for i, n in counts.items()]
 
 
 def _feature_text(token, stoplist, stemmer):
@@ -88,22 +131,35 @@ def _feature_text(token, stoplist, stemmer):
     return porter_stem(token) if stemmer == "EnglishPorter" else token
 
 
-def _processed_tokens(text, stoplist, stemmer, memo):
-    tokens = _raw_tokens(text)
+def _new_tokens(tokens, ids, stoplist, stemmer, memo):
+    """The tokens `ids` has not mapped, once each in first-seen order, and
+    their feature texts (None for a dropped token) through `memo`, as in
+    `extract_bow`, or a memo of their own."""
+    new = dict.fromkeys(filterfalse(ids.tokens.__contains__, tokens))
     if memo is None:
         memo = {}
-    for token in set(tokens).difference(memo):
+    for token in filterfalse(memo.__contains__, new):
         memo[token] = _feature_text(token, stoplist, stemmer)
-    return [f for f in map(memo.__getitem__, tokens) if f is not None]
+    return new, map(memo.__getitem__, new)
 
 
-def extract_bow(text: str, stoplist=None, stemmer=None, *, memo=None) -> list:
-    """Bag of words: [(featureText, count)] in first-seen order.
+def extract_bow(text: str, stoplist=None, stemmer=None, *, memo=None,
+                ids=None):
+    """Bag of words: [(featureText, count)] in first-seen order, or with
+    `ids` (a FeatureIds) the {feature id: count} of the distinct features.
 
     `memo` maps raw tokens to feature texts; reuse one only with the same
     stoplist and stemmer.
     """
-    return _aggregate(_processed_tokens(text, stoplist, stemmer, memo))
+    if ids is None:
+        return _texts(extract_bow, text, stoplist, stemmer, memo=memo)
+    tokens = _raw_tokens(text)
+    new, features = _new_tokens(tokens, ids, stoplist, stemmer, memo)
+    token_ids = ids.tokens
+    token_ids.update(zip(new, ids.assign(features)))
+    counts = Counter(map(token_ids.__getitem__, tokens))
+    counts.pop(None, None)
+    return counts
 
 
 def _token_ngrams(token: str, n: int):
@@ -116,29 +172,36 @@ def _token_ngrams(token: str, n: int):
 
 
 def extract_char_ngrams(text: str, n: int, word_bounded: bool = True,
-                        stoplist=None, stemmer=None, *, memo=None) -> list:
+                        stoplist=None, stemmer=None, *, memo=None, ids=None):
     """Character n-grams, within tokens or continuously across the string.
 
     Continuous mode slides over the lowercased raw string with whitespace
     runs collapsed to single spaces; stop word removal and stemming only
-    apply in word-bounded mode (there are no tokens otherwise).  `memo` is
-    as in `extract_bow`.
+    apply in word-bounded mode (there are no tokens otherwise).  `memo` and
+    `ids`, and what is returned, are as in `extract_bow`.
     """
     if n < 1:
         raise ValueError("n-gram size must be >= 1")
+    if ids is None:
+        return _texts(extract_char_ngrams, text, n, word_bounded, stoplist,
+                      stemmer, memo=memo)
     if word_bounded:
-        grams = (g for token in _processed_tokens(text, stoplist, stemmer, memo)
-                 for g in _token_ngrams(token, n))
-        return _aggregate(grams)
+        tokens = _raw_tokens(text)
+        new, features = _new_tokens(tokens, ids, stoplist, stemmer, memo)
+        token_ids = ids.tokens
+        token_ids.update((token, () if feature is None else tuple(
+            ids.assign(_token_ngrams(feature, n))))
+            for token, feature in zip(new, features))
+        return Counter(chain.from_iterable(map(token_ids.__getitem__,
+                                               tokens)))
     flat = " ".join(decode_entities(text).lower().split())
-    if not flat:
-        return []
-    return _aggregate(_token_ngrams(flat, n))
+    grams = Counter(_token_ngrams(flat, n) if flat else ())
+    return dict(zip(ids.assign(grams), grams.values()))
 
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    """Declarative extractor description; build one per corpus pass.
+    """Declarative extractor description.
 
     kind: "BOW", "CharNGram" or "Set".  ngram_size / word_bounded apply to
     CharNGram; children and namespacing to Set.  stoplist is a set of tokens
@@ -152,7 +215,7 @@ class ExtractorConfig:
     stemmer: str | None = None
     namespacing: bool = True
     children: tuple = field(default_factory=tuple)
-    # raw token -> feature text or None, filled by extract (see module doc)
+    # the stem memo, raw token -> feature text or None (see module doc)
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False, hash=False)
 
@@ -162,27 +225,29 @@ class ExtractorConfig:
         if self.kind == "Set" and not self.children:
             raise ValueError("Set extractor requires children")
 
-    def extract(self, text: str) -> list:
+    def extract(self, text: str, ids=None):
+        """The features of `text`, as the extractor functions return them."""
         if self.kind == "BOW":
             return extract_bow(text, self.stoplist, self.stemmer,
-                               memo=self._memo)
+                               memo=self._memo, ids=ids)
         if self.kind == "CharNGram":
             return extract_char_ngrams(text, self.ngram_size, self.word_bounded,
                                        self.stoplist, self.stemmer,
-                                       memo=self._memo)
-        return extract_set(text, self.children, self.namespacing)
+                                       memo=self._memo, ids=ids)
+        return extract_set(text, self.children, self.namespacing, ids=ids)
 
 
-def extract_set(text: str, children, namespacing: bool = True) -> list:
+def extract_set(text: str, children, namespacing: bool = True, *, ids=None):
     """Concatenate child extractor outputs.
 
     With namespacing on, features are prefixed "<childIndex>#" so identical
     strings produced by different extractors stay distinct; with it off,
-    identical features merge and their counts add up.
+    identical features merge and their counts add up.  `ids`, and what is
+    returned, are as in `extract_bow`.
     """
-    merged: dict = {}
+    if ids is None:
+        return _texts(extract_set, text, children, namespacing)
+    merged = Counter()
     for i, child in enumerate(children):
-        for text_feat, count in child.extract(text):
-            key = f"{i}#{text_feat}" if namespacing else text_feat
-            merged[key] = merged.get(key, 0) + count
-    return list(merged.items())
+        merged.update(child.extract(text, ids.child(i, namespacing)))
+    return merged
