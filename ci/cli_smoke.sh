@@ -95,13 +95,19 @@ python -m jatecs.cli tsr --index $OUT/flags/index --func ig \
   --policy local --k 50 --out $L/tsr
 python -m jatecs.cli weight --index $L/tsr --scheme tfidf \
   --out $L/weight
-# the global policies' selections of IG and chi2 on the toy
-# index, hashed with the other outputs below
-for FUNC in ig chi2; do
-  for POLICY in max sum wavg; do
+# every TSR function's selection under every policy on the toy
+# index, hashed with the other outputs below; rr and local also
+# with k above F, which reads each ranking to its end
+for FUNC in ig chi2 pmi or; do
+  for POLICY in rr local max sum wavg; do
     python -m jatecs.cli tsr --index $OUT/flags/index \
       --func $FUNC --policy $POLICY --k 50 \
       --out $OUT/global/$FUNC-$POLICY
+  done
+  for POLICY in rr local; do
+    python -m jatecs.cli tsr --index $OUT/flags/index \
+      --func $FUNC --policy $POLICY --k 100000 \
+      --out $OUT/global/$FUNC-$POLICY-all
   done
 done
 # the fold templates on the toy indexes, twice each: both runs

@@ -30,13 +30,16 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
 from . import weighting
 from .corpus import (READERS, documents_to_index, numbered_lines,
                      read_category_file, read_corpus)
 from .errors import InternalError, JatecsError, ParseError, ValidationError
 from .evaluation import compare, label_map, measures, micro_macro
 from .experiments import grid_search, kfold_evaluate, make_folds
-from .index import _read_concepts, deserialize_index, serialize_index
+from .index import (_format_rows, _read_concepts, deserialize_index,
+                    serialize_index)
 from .learners import (LEARNERS, load_classifier, make_learner,
                        save_classifier, train)
 from .projection import build_projection, project, save_projection
@@ -430,9 +433,11 @@ def _classify_stage(opts, classifier, index) -> dict:
     predictions = label_map(classifier.decisions(scores))
     _write_tsv(opts["out"], ((d, c) for d, cs in predictions.items()
                              for c in cs))
-    _write_text(_side_path(opts["out"], "scores"), "".join(
-        f"{d}\t{c}\t{score!r}\n" for d, row in enumerate(scores.tolist())
-        for c, score in enumerate(row)))
+    n_docs, n_cats = scores.shape
+    with open(_side_path(opts["out"], "scores"), "wb") as fh:
+        fh.writelines(_format_rows(  # each chunk as soon as it is encoded
+            "%d\t%d\t%r\n", np.repeat(np.arange(n_docs), n_cats),
+            np.tile(np.arange(n_cats), n_docs), scores.ravel()))
     # the ids above mean something only with this table; eval checks it
     _write_tsv(_side_path(opts["out"], "categories"),
                enumerate(classifier.category_labels))

@@ -10,9 +10,12 @@ global variants, and round robin.
 Rankings count every (feature, category) pair at once from the index's
 array view (Yang & Pedersen 1997): df is one bincount over the nonzeros and
 each category's a one bincount over its documents' nonzeros.  Only distinct
-count tables are scored.  A ranking keeps its id order and scores as two
-arrays; a (fID, score) pair is built only when a caller reads it, so the
-policies, which read a ranking's head, never build a whole ranking's pairs.
+count tables are scored.  A category's scores are kept compact: the
+features that occur with it (a > 0) with their scores, and a table over
+the df values for the rest.  A ranking is sorted only as far as a caller
+reads it, so the policies, which read a ranking's head, never sort a whole
+ranking, and the global ones combine one category's F scores at a time:
+no C x F array is made.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -150,10 +155,94 @@ def tsr_score(counts: CooccurrenceCounts, func: str) -> float:
 
 
 class RankingEntries(ArrayRows):
-    """The (fID, score) pairs of a ranking, read from its id order and its
-    scores: an item is an (int, float) pair, a slice a tuple of them."""
+    """The (fID, score) pairs of a ranking: an item is an (int, float)
+    pair, a slice a tuple of them.
 
-    __slots__ = ()
+    `columns` hold the ids and scores of the ranking's first pairs, its
+    head.  A read past them takes the F scores from `scores()` again, sorts
+    a longer head (see _grown) and drops the F array; once the head is the
+    whole ranking, `scores` is dropped too.  Every read equals that of
+    np.argsort(-scores, kind="stable")."""
+
+    __slots__ = ("_size", "_scores")
+
+    def __init__(self, ids: np.ndarray, scores: np.ndarray):
+        super().__init__(ids, scores)
+        self._size = len(ids)
+        self._scores = None  # the whole ranking is sorted
+
+    @classmethod
+    def sorted_as_read(cls, size: int, scores) -> "RankingEntries":
+        """The ranking of the `size` scores `scores()` gives, sorted only as
+        far as its reads reach."""
+        entries = cls(np.empty(0, dtype=np.intp), np.empty(0))
+        entries._size, entries._scores = size, scores
+        return entries
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _head(self, need: int) -> tuple:
+        """The columns of the first `need` pairs or more."""
+        if need > len(self.columns[0]):
+            scores = self._scores()
+            order = _stable_head(scores,
+                                 max(need, _grown(len(self.columns[0]))))
+            ranked = scores[order]
+            order.flags.writeable = ranked.flags.writeable = False
+            self.columns = (order, ranked)
+            if len(order) == self._size:
+                self._scores = None
+        return self.columns
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            picked = range(*i.indices(self._size))
+            if not picked:
+                return ()
+            self._head(max(picked[0], picked[-1]) + 1)
+            # the same positions, read from the head
+            i = slice(picked.start, picked.stop if picked.stop >= 0 else None,
+                      picked.step)
+        else:
+            if i < 0:
+                i += self._size
+            if not 0 <= i < self._size:
+                raise IndexError(f"ranking index out of range for {self._size}"
+                                 " pairs")
+            self._head(i + 1)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        return chain.from_iterable(self._chunks())
+
+    def _chunks(self):
+        """The pairs as zips of one head's new part after another."""
+        done = 0
+        while done < self._size:
+            stop = min(self._size, _grown(done))
+            ids, scores = self._head(stop)
+            yield zip(ids[done:stop].tolist(), scores[done:stop].tolist())
+            done = stop
+
+
+def _grown(length: int) -> int:
+    """The length of the head after one of `length` pairs: a policy reads
+    at most k pairs of a ranking, and few heads are sorted on the way."""
+    return max(512, 4 * length)
+
+
+def _stable_head(scores: np.ndarray, size: int) -> np.ndarray:
+    """The first `size` positions of np.argsort(-scores, kind="stable"),
+    stable-sorting only the scores that tie with or beat the size-th."""
+    keys = -scores
+    if size < len(keys):
+        cut = np.partition(keys, size - 1)[size - 1]
+        if cut == cut:  # NaN keys sort last: a NaN cut needs them sorted
+            candidates = np.flatnonzero(keys <= cut)
+            return candidates[np.argsort(keys[candidates],
+                                         kind="stable")[:size]]
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -171,37 +260,62 @@ class FeatureRanking:
         return [f for f, _ in self.entries[:k]]
 
 
-def _category_scores(index: Index, func: str, categories) -> np.ndarray:
-    """len(categories) x F scores of every feature against each category.
+def _spread(df_rank, ids, scores, table) -> np.ndarray:
+    """The F scores of one category: its a > 0 features' `scores` at `ids`,
+    and each other feature's from the `table` of its df rank."""
+    full = table[df_rank]
+    full[ids] = scores
+    return full
 
-    a[f] comes from one bincount of the category's nonzeros and df from one
-    bincount of all of them; the scalar formula of `func` scores each
-    distinct (a, df) pair once, from its four counts, so every score is
-    tsr_score's bit for bit.
+
+def _category_scores(index: Index, func: str, categories):
+    """For each category of `categories`, a function giving its F scores.
+
+    Each keeps only the features that occur with the category (a > 0),
+    with their scores, and a table over the distinct df values: with a = 0
+    the four counts depend only on df, |c| and D.  a comes from one
+    bincount of the category's nonzeros and df from one bincount of all of
+    them; the scalar formula of `func` scores each distinct (a, df) pair
+    once, and a table only the df values some a = 0 feature of the category
+    has, so every score is tsr_score's bit for bit and no table is an
+    impossible one.
     """
     formula = _formula(func)
     view = index.arrays()
     n, n_feats = index.num_documents, index.num_features
     df = np.bincount(view.features, minlength=n_feats)
-    scores = np.zeros((len(categories), n_feats))
+    df_values, df_rank = np.unique(df, return_inverse=True)
+    per_df = np.bincount(df_rank, minlength=len(df_values))
+    df_values = df_values.tolist()
     sizes = np.count_nonzero(view.labels, axis=0).tolist()
-    for row, c in enumerate(categories):
+    for c in categories:
         n_pos = sizes[c]
         a = np.bincount(view.features[view.labels[view.rows, c]],
                         minlength=n_feats)
-        pairs, inverse = np.unique(a * (n + 1) + df, return_inverse=True)
-        a_values, df_values = divmod(pairs, n + 1)
+        ids = np.flatnonzero(a)
+        pairs, inverse = np.unique(a[ids] * (n + 1) + df[ids],
+                                   return_inverse=True)
+        a_values, pair_df = divmod(pairs, n + 1)
         distinct = [formula(a_, df_ - a_, n_pos - a_, n - df_ - n_pos + a_)
-                    for a_, df_ in zip(a_values.tolist(), df_values.tolist())]
-        scores[row] = np.asarray(distinct)[inverse]
-    return scores
+                    for a_, df_ in zip(a_values.tolist(), pair_df.tolist())]
+        scores = np.array(distinct, dtype=np.float64)[inverse]
+        table = np.zeros(len(df_values))
+        with_zero = per_df > np.bincount(df_rank[ids],
+                                         minlength=len(df_values))
+        for r in np.flatnonzero(with_zero).tolist():
+            df_ = df_values[r]
+            table[r] = formula(0, df_, n_pos, n - df_ - n_pos)
+        yield partial(_spread, df_rank, ids, scores, table)
+
+
+def _ranking(scope, size: int, scores) -> FeatureRanking:
+    """The ranking of the `size` scores `scores()` gives."""
+    return FeatureRanking(scope=scope,
+                          entries=RankingEntries.sorted_as_read(size, scores))
 
 
 def _sorted_ranking(scope, scores: np.ndarray) -> FeatureRanking:
-    order = np.argsort(-scores, kind="stable")  # ties: ascending id
-    ranked = scores[order]
-    order.flags.writeable = ranked.flags.writeable = False
-    return FeatureRanking(scope=scope, entries=RankingEntries(order, ranked))
+    return _ranking(scope, len(scores), lambda: scores)
 
 
 def rank_features(index: Index, func: str, scope=None, policy=GLOBAL_MAX):
@@ -215,11 +329,13 @@ def rank_features(index: Index, func: str, scope=None, policy=GLOBAL_MAX):
         raise ValidationError("cannot rank features of an empty index")
     if scope is not None:
         index.categories.name(scope)  # an unknown id is a ValidationError
-        return _sorted_ranking(scope, _category_scores(index, func, [scope])[0])
+        category_scores, = _category_scores(index, func, [scope])
+        return _ranking(scope, index.num_features, category_scores)
     if policy not in (GLOBAL_MAX, GLOBAL_SUM, GLOBAL_WAVG):
         raise ValidationError(f"unknown global policy {policy!r}")
     d_total = index.num_documents
-    per_cat = _category_scores(index, func, range(index.num_categories))
+    per_cat = (category_scores() for category_scores in _category_scores(
+        index, func, range(index.num_categories)))
     if policy == GLOBAL_MAX:
         combined = np.full(index.num_features, -np.inf)
         for scores in per_cat:
@@ -239,7 +355,8 @@ def per_category_rankings(index: Index, func: str) -> list:
     if index.num_categories and index.num_documents == 0:
         raise ValidationError("cannot rank features of an empty index")
     per_cat = _category_scores(index, func, range(index.num_categories))
-    return [_sorted_ranking(c, scores) for c, scores in enumerate(per_cat)]
+    return [_ranking(c, index.num_features, scores)
+            for c, scores in enumerate(per_cat)]
 
 
 def select_round_robin(rankings, k: int) -> set:
