@@ -351,6 +351,19 @@ cat $OUT/stale.err
 test "$CODE" -eq 2
 grep -q 'model-meta.tsv:1:' $OUT/stale.err
 test ! -e $OUT/stale-pred.tsv
+# a repeated (feature, category) row in a local index's domain.tsv is
+# a data error naming the file, and nothing is written
+cp -r $L/tsr $OUT/dupdomain
+head -n 1 $L/tsr/domain.tsv >> $OUT/dupdomain/domain.tsv
+set +e
+python -m jatecs.cli weight --index $OUT/dupdomain --scheme tfidf \
+  --out $OUT/dupdomain-w 2> $OUT/dupdomain.err
+CODE=$?
+set -e
+cat $OUT/dupdomain.err
+test "$CODE" -eq 2
+grep -q 'domain.tsv:' $OUT/dupdomain.err
+test ! -e $OUT/dupdomain-w
 # every learner on the local feature domain: k-fold and
 # train/classify per learner
 for LEARNER in nb rocchio knn boost; do

@@ -379,8 +379,10 @@ def select_features(index, func: str, policy: str, k: int):
         rankings = per_category_rankings(index, func)
         return apply_selection(index, selected=select_round_robin(rankings, k))
     if policy == "local":
-        rankings = per_category_rankings(index, func)
-        local = {ranking.scope: set(ranking.top(k)) for ranking in rankings}
+        rankings, local = per_category_rankings(index, func)[::-1], {}
+        while rankings:  # each ranking goes once its head is read
+            ranking = rankings.pop()
+            local[ranking.scope] = np.array(ranking.top(k), dtype=np.int64)
         return apply_selection(index, local=local)
     ranking = rank_features(index, func, policy=policy)
     return apply_selection(index, selected=set(ranking.top(k)))

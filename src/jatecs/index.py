@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, count, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, islice
 from operator import itemgetter
 
 import numpy as np
@@ -106,26 +106,6 @@ class ConceptDb:
     @property
     def names(self):
         return tuple(self._names)
-
-
-@dataclass(frozen=True)
-class DomainDb:
-    """Feature/category validity. Global mode: every feature valid everywhere.
-
-    Local mode stores, per category, the frozenset of valid feature ids.
-    """
-
-    local: bool
-    valid: dict | None = None  # cID -> frozenset of fIDs, only when local
-
-    def valid_features(self, c_id: int):
-        """None means 'all features valid' (global mode)."""
-        if not self.local:
-            return None
-        return self.valid.get(c_id, frozenset())
-
-
-GLOBAL_DOMAIN = DomainDb(local=False)
 
 
 @dataclass(frozen=True)
@@ -266,11 +246,13 @@ class _DictRows(_Rows):
 
     def __init__(self, name: str, relation: dict, row_type: np.dtype):
         self.name = name
-        self.rows = np.zeros(sum(map(len, relation.values())), dtype=row_type)
+        sizes = list(map(len, relation.values()))
+        self.rows = np.zeros(sum(sizes), dtype=row_type)
         first, second, *value = row_type.names
-        self.rows[first] = list(chain.from_iterable(
-            repeat(key, len(cells)) for key, cells in relation.items()))
-        self.rows[second] = list(chain.from_iterable(relation.values()))
+        self.rows[first] = np.repeat(
+            np.fromiter(relation, np.int64, len(relation)), sizes)
+        self.rows[second] = np.fromiter(chain.from_iterable(
+            relation.values()), np.int64, len(self.rows))
         if value:
             self.rows[value[0]] = list(chain.from_iterable(
                 cells.values() for cells in relation.values()))
@@ -278,6 +260,48 @@ class _DictRows(_Rows):
     def fail(self, row, message):
         key = self.rows[row].tolist()[:2]
         return ValidationError(f"{self.name} entry {key}: {message}")
+
+
+class DomainDb(_Rows):
+    """Feature/category validity. Global mode: every feature valid everywhere.
+
+    Local mode holds the valid (fID, cID) pairs as two read-only int64
+    arrays, `features` and `categories`, sorted by feature and then by
+    category: the rows of domain.tsv, in their order.  They are given as
+    `pairs` in that order, or as `valid`, {cID: iterable of fIDs}; `valid`
+    and valid_features read them back as frozensets.
+    """
+
+    def __init__(self, local: bool, valid: dict | None = None, pairs=None):
+        if local and pairs is None:  # sorted, a repeated pair kept once
+            rows = _DictRows("domain", valid or {}, _PAIR_ROW).rows
+            rows = rows[np.lexsort((rows["a"], rows["b"]))]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = rows[1:] != rows[:-1]
+            pairs = rows["b"][first], rows["a"][first]
+        self.local = local
+        self.features, self.categories = [
+            _frozen(np.ascontiguousarray(ids, dtype=np.int64))
+            for ids in pairs] if local else (None, None)
+
+    @property
+    def valid(self):
+        """{cID: frozenset of fIDs} of each category with a valid feature;
+        None in global mode."""
+        return {c: self.valid_features(c) for c in sorted(set(
+            self.categories.tolist()))} if self.local else None
+
+    def valid_features(self, c_id: int):
+        """None means 'all features valid' (global mode)."""
+        return (frozenset(self.features[self.categories == c_id].tolist())
+                if self.local else None)
+
+    def fail(self, row, message):
+        key = (self.categories.item(row), self.features.item(row))
+        return ValidationError(f"domain entry {key}: {message}")
+
+
+GLOBAL_DOMAIN = DomainDb(local=False)
 
 
 def _placed(docs, feats, n_docs, n_feats, source: _Rows):
@@ -329,9 +353,8 @@ def _stored(n_docs, n_feats, n_cats, content, weights, classification):
 
 def _check_domain(domain: DomainDb, n_feats, n_cats) -> None:
     if domain.local:
-        source = _DictRows("domain", domain.valid, _PAIR_ROW)
-        source.check_ids(source.rows["a"], n_cats, "category")
-        source.check_ids(source.rows["b"], n_feats, "feature")
+        domain.check_ids(domain.categories, n_cats, "category")
+        domain.check_ids(domain.features, n_feats, "feature")
 
 
 class Index:
@@ -750,20 +773,18 @@ def subset_index(index: Index, keep_docs=None, keep_features=None) -> Index:
                            kind="document", _checked=True)
         arrays, kept = document_arrays(a, old_ids)
     else:
-        old_ids = sorted(set(keep_features))
-        if not old_ids:
+        old_ids = np.array(sorted(set(keep_features)), dtype=np.int64)
+        if not len(old_ids):
             raise ValidationError("empty feature keep set")
-        feat_db = ConceptDb([feat_db.name(f) for f in old_ids],
+        feat_db = ConceptDb([feat_db.name(f) for f in old_ids.tolist()],
                             kind="feature", _checked=True)
         # a feature's new id: its rank among the kept ones, -1 if dropped
-        new_feats = np.full(index.num_features, -1, dtype=np.int64)
+        new_feats = np.full(index.num_features, -1, dtype=np.int32)
         new_feats[old_ids] = np.arange(len(old_ids))
-        if domain.local:
-            remap = dict(zip(old_ids, range(len(old_ids))))
-            domain = DomainDb(local=True, valid={
-                c: frozenset(remap[f] for f in fs if f in remap)
-                for c, fs in domain.valid.items()
-            })
+        if domain.local:  # the remap is monotone: the pairs stay sorted
+            feats = new_feats[domain.features]
+            domain = DomainDb(True, pairs=(feats[feats >= 0],
+                                           domain.categories[feats >= 0]))
         kept = new_feats[a.features] >= 0
         arrays = _csr(len(doc_db), a.rows[kept], new_feats[a.features[kept]],
                       a.counts[kept], a.weights[kept], a.labels)
@@ -843,10 +864,8 @@ def _index_chunks(index: Index):
                         a.features[weighted], a.weights[weighted])
     yield from rows("classification.tsv", "%d\t%d\n", *np.nonzero(a.labels))
     if index.domain.local:
-        pairs = sorted((f, c) for c, fs in index.domain.valid.items()
-                       for f in fs)
-        yield from rows("domain.tsv", "%d\t%d\n",
-                        *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+        yield from rows("domain.tsv", "%d\t%d\n", index.domain.features,
+                        index.domain.categories)
 
 
 def index_file_map(index: Index) -> dict:
@@ -1056,10 +1075,7 @@ def deserialize_index(directory) -> Index:
         rows = tsv.rows
         tsv.check_ids(rows["a"], len(feat_db), "feature")
         tsv.check_ids(rows["b"], len(cat_db), "category")
-        rows = tsv.sorted_rows(rows, "b", "a", len(feat_db), "domain")
-        cats, starts = np.unique(rows["b"], return_index=True)
-        domain = DomainDb(local=True, valid={
-            c: frozenset(fs.tolist())
-            for c, fs in zip(cats.tolist(), np.split(rows["a"], starts[1:]))})
+        rows = tsv.sorted_rows(rows, "a", "b", len(cat_db), "domain")
+        domain = DomainDb(True, pairs=(rows["a"], rows["b"]))
     return Index._from_arrays(cat_db, feat_db, doc_db, arrays, weighted,
                               domain)

@@ -263,9 +263,7 @@ def _feature_masks(index: Index) -> np.ndarray:
     if not index.domain.local:
         return np.ones((index.num_categories, index.num_features), dtype=bool)
     masks = np.zeros((index.num_categories, index.num_features), dtype=bool)
-    for c in range(index.num_categories):
-        valid = index.domain.valid_features(c)
-        masks[c, np.fromiter(valid, dtype=np.intp, count=len(valid))] = True
+    masks[index.domain.categories, index.domain.features] = True
     return masks
 
 

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
-from .index import ArrayRows, DomainDb, Index, subset_index
+from .index import ArrayRows, DomainDb, Index, _check_domain, subset_index
 
 IG = "IG"
 CHI2 = "Chi2"
@@ -389,9 +389,10 @@ def apply_selection(index: Index, selected=None, local=None) -> Index:
     """Restrict the index feature space.
 
     A global `selected` set re-compacts the feature table.  A `local`
-    mapping (cID -> feature set) keeps the union of all sets and switches
-    the domain relation to local mode so each feature is only valid in the
-    categories that selected it.
+    mapping (cID -> feature ids) keeps the union of all of them and
+    switches the domain relation to local mode so each feature is only
+    valid in the categories that selected it; on an index whose domain is
+    already local, only in those of them where it was valid before.
     """
     if (selected is None) == (local is None):
         raise ValidationError("specify exactly one of selected / local")
@@ -399,10 +400,17 @@ def apply_selection(index: Index, selected=None, local=None) -> Index:
         if not selected:
             raise ValidationError("empty feature selection")
         return subset_index(index, keep_features=set(selected))
-    if not local or not any(local.values()):
+    domain = DomainDb(local=True, valid=local)
+    if not len(domain.features):
         raise ValidationError("empty local feature selection")
-    union = sorted(set().union(*local.values()))
-    reduced = subset_index(index, keep_features=set(union))
-    remap = {old: new for new, old in enumerate(union)}
-    valid = {c: frozenset(remap[f] for f in fs) for c, fs in local.items()}
-    return reduced.with_domain(DomainDb(local=True, valid=valid))
+    _check_domain(domain, index.num_features, index.num_categories)
+    union = np.flatnonzero(np.bincount(domain.features))
+    reduced = subset_index(index, keep_features=union)
+    features = np.searchsorted(union, domain.features)  # still sorted
+    categories = domain.categories
+    if reduced.domain.local:  # a pair stays only where it was valid before
+        old, n = reduced.domain, index.num_categories
+        kept = np.isin(features * n + categories,
+                       old.features * n + old.categories)
+        features, categories = features[kept], categories[kept]
+    return reduced.with_domain(DomainDb(True, pairs=(features, categories)))
