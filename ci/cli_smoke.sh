@@ -34,6 +34,17 @@ python -m jatecs.cli pipeline \
   --func ig --policy rr --k 500 \
   --scheme tfidf --learner nb \
   --out $OUT/stemmed
+# eval counts each prediction row once, in any order: a shuffled
+# copy of the predictions with one row repeated, next to their
+# category table, must give the pipeline's eval.tsv
+mkdir $OUT/reeval
+{ head -n 1 $OUT/stemmed/predictions.tsv
+  shuf --random-source=$TOY/corpus.csv $OUT/stemmed/predictions.tsv
+} > $OUT/reeval/pred.tsv
+cp $OUT/stemmed/predictions-categories.tsv $OUT/reeval/pred-categories.tsv
+python -m jatecs.cli eval --pred $OUT/reeval/pred.tsv \
+  --gold $OUT/stemmed/weight --out $OUT/reeval/eval.tsv
+cmp $OUT/stemmed/eval.tsv $OUT/reeval/eval.tsv
 # the index build for the other extractors, hashed below: a
 # stemmed Set extractor, and n-grams across word boundaries
 python -m jatecs.cli index \

@@ -36,7 +36,7 @@ from . import weighting
 from .corpus import (READERS, documents_to_index, numbered_lines,
                      read_category_file, read_corpus)
 from .errors import InternalError, JatecsError, ParseError, ValidationError
-from .evaluation import compare, label_map, measures, micro_macro
+from .evaluation import compare, measures, micro_macro
 from .experiments import grid_search, kfold_evaluate, make_folds
 from .index import (_format_rows, _read_concepts, deserialize_index,
                     serialize_index)
@@ -427,14 +427,13 @@ def _train_stage(opts, index):
     return classifier
 
 
-def _classify_stage(opts, classifier, index) -> dict:
+def _classify_stage(opts, classifier, index) -> np.ndarray:
     if index.categories.names != classifier.category_labels:
         raise ValidationError("the index's category table differs from the "
                               "model's")
     scores = classifier.score_index(index)
-    predictions = label_map(classifier.decisions(scores))
-    _write_tsv(opts["out"], ((d, c) for d, cs in predictions.items()
-                             for c in cs))
+    decisions = classifier.decisions(scores)
+    _write_tsv(opts["out"], np.argwhere(decisions).tolist())
     n_docs, n_cats = scores.shape
     with open(_side_path(opts["out"], "scores"), "wb") as fh:
         fh.writelines(_format_rows(  # each chunk as soon as it is encoded
@@ -444,11 +443,11 @@ def _classify_stage(opts, classifier, index) -> dict:
     _write_tsv(_side_path(opts["out"], "categories"),
                enumerate(classifier.category_labels))
     print(f"classified D={index.num_documents} -> {opts['out']}")
-    return predictions
+    return decisions
 
 
 def _eval_stage(opts, predictions, gold_index) -> None:
-    table_set = compare(predictions, label_map(gold_index.arrays().labels),
+    table_set = compare(predictions, gold_index.arrays().labels,
                         gold_index.num_documents, gold_index.num_categories)
     for c in sorted(table_set.per_category):
         _print_table(f"category {gold_index.categories.name(c)}",
@@ -535,10 +534,11 @@ def _side_path(out_path: str, name: str) -> str:
     return f"{root}-{name}{ext or '.tsv'}"
 
 
-def _read_predictions(path, gold_index) -> dict:
-    """The dID -> [cID] map of a predictions file; an id outside the gold
-    index is a ParseError on its line.  The category table classify wrote
-    next to it, if any, must be the gold index's."""
+def _read_predictions(path, gold_index) -> np.ndarray:
+    """The D x C decision matrix of a predictions file, where a repeated
+    row counts once; an id outside the gold index is a ParseError on its
+    line.  The category table classify wrote next to it, if any, must be
+    the gold index's."""
     categories = _side_path(path, "categories")
     if os.path.exists(categories):
         table = _read_concepts(*os.path.split(categories), "category",
@@ -546,7 +546,8 @@ def _read_predictions(path, gold_index) -> dict:
         if table.names != gold_index.categories.names:
             raise ValidationError(f"{categories}: the predictions' category "
                                   "table differs from the gold index's")
-    predictions: dict = {}
+    predictions = np.zeros((gold_index.num_documents,
+                            gold_index.num_categories), dtype=bool)
     for line_no, line in numbered_lines(path, newline=None):
         if not line:
             continue
@@ -561,7 +562,7 @@ def _read_predictions(path, gold_index) -> dict:
             raise ParseError(path, line_no, f"unknown document {d}")
         if not 0 <= c < gold_index.num_categories:
             raise ParseError(path, line_no, f"unknown category {c}")
-        predictions.setdefault(d, []).append(c)
+        predictions[d, c] = True
     return predictions
 
 

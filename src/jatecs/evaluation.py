@@ -65,30 +65,54 @@ class ContingencyTableSet:
             for c in sorted(keys)})
 
 
-def compare(predictions: dict, gold: dict, num_documents: int,
+def compare(predictions, gold, num_documents: int,
             num_categories: int) -> ContingencyTableSet:
-    """Tables from two (dID -> iterable of cID) classification maps.
+    """Tables from two D x C boolean decision matrices, D and C given by the
+    two size arguments: tp, fp and fn are column counts, tn the rest.
 
-    Both maps must live in the same document/category universe, given by the
-    two size arguments; documents absent from a map simply have no labels.
+    Either side may instead be a (dID -> iterable of cID) map in the same
+    universe; documents absent from a map simply have no labels.  A map's
+    ids are checked in map order, predictions before gold, and set into a
+    matrix.
     """
-    for name, mapping in (("predictions", predictions), ("gold", gold)):
-        for d, cats in mapping.items():
-            if not 0 <= d < num_documents:
-                raise ValidationError(f"{name} reference unknown document {d}")
-            for c in cats:
-                if not 0 <= c < num_categories:
-                    raise ValidationError(f"{name} reference unknown category {c}")
-    tables = {}
-    for c in range(num_categories):
-        pred_docs = {d for d, cats in predictions.items() if c in cats}
-        gold_docs = {d for d, cats in gold.items() if c in cats}
-        tp = len(pred_docs & gold_docs)
-        fp = len(pred_docs - gold_docs)
-        fn = len(gold_docs - pred_docs)
-        tn = num_documents - tp - fp - fn
-        tables[c] = ContingencyTable(tp=tp, tn=tn, fp=fp, fn=fn)
-    return ContingencyTableSet(tables)
+    shape = (num_documents, num_categories)
+    pred = _decision_matrix("predictions", predictions, shape)
+    true = _decision_matrix("gold", gold, shape)
+    tp = np.count_nonzero(pred & true, axis=0).tolist()
+    fp = np.count_nonzero(pred & ~true, axis=0).tolist()
+    fn = np.count_nonzero(~pred & true, axis=0).tolist()
+    return ContingencyTableSet({
+        c: ContingencyTable(tp=tp[c], tn=num_documents - tp[c] - fp[c] - fn[c],
+                            fp=fp[c], fn=fn[c])
+        for c in range(num_categories)})
+
+
+def _decision_matrix(name: str, side, shape: tuple) -> np.ndarray:
+    """`side` as a D x C boolean matrix: a matrix of that shape as given,
+    a (dID -> cIDs) map checked entry by entry and set into a new one."""
+    if isinstance(side, np.ndarray):
+        if side.dtype != bool or side.shape != shape:
+            raise ValidationError(f"{name} must be a {shape} boolean matrix, "
+                                  f"not {side.shape} {side.dtype}")
+        return side
+    matrix = np.zeros(shape, dtype=bool)
+    for d, cats in side.items():
+        row = _known_id(name, "document", d, shape[0])
+        for c in cats:
+            matrix[row, _known_id(name, "category", c, shape[1])] = True
+    return matrix
+
+
+def _known_id(name: str, kind: str, value, size: int) -> int:
+    """`value` as an int in range(size); it must equal that int, as a bool,
+    a numpy integer or 1.0 does, and 1.5 or "1" does not."""
+    try:
+        known = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        known = -1
+    if known != value or not 0 <= known < size:
+        raise ValidationError(f"{name} reference unknown {kind} {value}")
+    return known
 
 
 def label_map(matrix: np.ndarray) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evaluation import ContingencyTableSet, compare, label_map, micro_macro
+from .evaluation import ContingencyTableSet, compare, micro_macro
 from .index import Index, subset_index
 from .learners import fold_classifiers, make_learner, train
 from .rng import SplitMix64
@@ -159,8 +159,8 @@ def kfold_evaluate(learner, index: Index, plan: FoldPlan,
     _, decisions, warnings = out_of_fold(learner, index, plan)
     for fold, message in warnings:
         log.warning("fold %d: %s", fold, message)
-    return compare(label_map(decisions), label_map(index.arrays().labels),
-                   index.num_documents, index.num_categories)
+    return compare(decisions, index.arrays().labels, index.num_documents,
+                   index.num_categories)
 
 
 def grid_search(learner_kind: str, grid: dict, index: Index, plan: FoldPlan,

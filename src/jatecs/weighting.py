@@ -56,13 +56,13 @@ def tfidf_normalized(index: Index) -> Index:
     """w(t, d) = tf * ln(N / df), then each document vector is scaled to
     unit Euclidean length.  Documents whose every term has zero idf keep
     their all-zero weights (there is nothing to normalize)."""
-    stats = recompute_stats(index)
+    n = index.num_documents
     view = index.arrays()
+    df = np.bincount(view.features, minlength=index.num_features).tolist()
     # df = 0 only for features no document has, whose idf is never read
-    idf = np.array([math.log(stats.n / df) if df else 0.0
-                    for df in stats.df.values()])
+    idf = np.array([math.log(n / f) if f else 0.0 for f in df])
     weights = view.counts * idf[view.features]
-    norms = np.sqrt(row_sums(view.rows, weights * weights, stats.n, start=0.0))
+    norms = np.sqrt(row_sums(view.rows, weights * weights, n, start=0.0))
     scale = norms[view.rows]
     np.divide(weights, scale, out=weights, where=scale > 0.0)
     return index.with_weight_values(weights)
